@@ -217,15 +217,19 @@ fn main() {
     println!("{}", t.render());
     println!("identity invariant: recovered union == sequential catalog, at every schedule");
 
-    // ---- zone-cache staleness drill ---------------------------------------
-    // Recovery re-runs spZone, so a snapshot captured before a fault must
+    // ---- zone-map staleness drill -----------------------------------------
+    // Recovery re-runs spZone, so a Zone map captured before a fault must
     // degrade to the clustered index, never to wrong answers: hold the old
-    // snapshot across a re-zone (its epoch is now stale), search through
-    // it, and demand bit-identical hits plus a moving fallback counter.
+    // map across a re-zone (its version is now stale), search through it,
+    // and demand bit-identical hits plus a moving fallback counter.
     let fallbacks = obs::counter("maxbcg.zonecache.fallbacks");
-    let stale = seq_db.zone_snapshot().expect("zone cache on by default").clone();
+    let stale = seq_db.zone_snapshot().expect("spZone takes the Zone map").clone();
     seq_db.make_zone().expect("re-zone");
-    assert!(!stale.is_fresh(seq_db.db()), "re-running spZone must move the Zone epoch");
+    assert_ne!(
+        seq_db.db().table_version("Zone").expect("Zone version"),
+        stale.epoch(),
+        "re-running spZone must move the Zone version"
+    );
     let fallbacks_0 = fallbacks.get();
     let (mut via_stale, mut via_fresh) = (Vec::new(), Vec::new());
     for g in sky.galaxies.iter().step_by(97) {
@@ -233,21 +237,21 @@ fn main() {
             via_stale.push((o, d.to_bits()));
             true
         })
-        .expect("stale-snapshot search");
+        .expect("stale-map search");
         let fresh = seq_db.zone_snapshot().map(|s| &**s);
         maxbcg::visit_nearby_with(seq_db.db(), fresh, seq_db.scheme(), g.ra, g.dec, 0.2, |o, d, _| {
             via_fresh.push((o, d.to_bits()));
             true
         })
-        .expect("fresh-snapshot search");
+        .expect("fresh-map search");
     }
-    assert_eq!(via_stale, via_fresh, "stale-snapshot fallback changed answers");
+    assert_eq!(via_stale, via_fresh, "stale-map fallback changed answers");
     assert!(
         fallbacks.get() > fallbacks_0,
-        "maxbcg.zonecache.fallbacks must move when a stale snapshot is offered"
+        "maxbcg.zonecache.fallbacks must move when a stale map is offered"
     );
     println!(
-        "zone-cache drill: {} stale searches fell back to the clustered index, identically",
+        "zone-map drill: {} stale searches fell back to the clustered index, identically",
         fallbacks.get() - fallbacks_0
     );
 

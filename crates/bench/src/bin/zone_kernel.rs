@@ -1,19 +1,19 @@
 //! **Zone kernel** — `fGetNearbyObjEqZd` microbenchmark: the clustered
-//! B-tree path vs the columnar zone-snapshot path, across worker counts.
+//! B-tree path vs the Zone table's columnar zone map, across worker counts.
 //!
 //! The pipeline stages wrap the zone join in per-galaxy photometry and
 //! likelihood work; this bench isolates the join itself. It imports the
 //! Table 1 sky, runs `spZone`, then fires the neighbor search once per
 //! candidate-region galaxy — first through the clustered `(zoneid, ra,
 //! objid)` index (every scan latches buffer-pool pages), then through the
-//! immutable struct-of-arrays snapshot (binary-searched RA windows over
-//! contiguous columns, no latches) — at 1, 2, and 4 worker threads.
+//! immutable `stardb::ZoneMap` (binary-searched RA windows, column reads,
+//! no latches) — at 1, 2, and 4 worker threads.
 //!
 //! Per-query hit checksums are compared across every (path, workers)
-//! point: the snapshot changes cost, never answers. At the default scale
-//! the snapshot path must be at least 3x faster than the B-tree path at 4
-//! workers, with fewer contended latch acquisitions; tiny CI skies print
-//! the ratio without asserting it.
+//! point: the map changes cost, never answers. At the default scale the
+//! map path must be at least 3x faster than the B-tree path at 4 workers,
+//! with fewer contended latch acquisitions; tiny CI skies print the ratio
+//! without asserting it.
 //!
 //! ```text
 //! cargo run -p bench --release --bin zone_kernel [-- --scale 0.05 --seed 2005]
@@ -22,7 +22,8 @@
 //! Emits `BENCH_zone_kernel.json`.
 
 use bench::{secs, BenchOpts, PaperCase, TextTable};
-use maxbcg::{visit_nearby_with, MaxBcgConfig, MaxBcgDb, ZoneSnapshot};
+use maxbcg::{visit_nearby_with, MaxBcgConfig, MaxBcgDb};
+use stardb::ZoneMap;
 use std::time::Instant;
 
 /// Search radius in degrees: the upper end of the likelihood search radii
@@ -68,10 +69,9 @@ struct KernelReport {
     galaxies: usize,
     queries: usize,
     total_hits: u64,
-    snapshot_rows: usize,
-    snapshot_bytes: usize,
+    zonemap_rows: usize,
     points: Vec<KernelPoint>,
-    btree_over_snapshot_at_4_workers: f64,
+    btree_over_zonemap_at_4_workers: f64,
 }
 
 obs::to_json_fields!(KernelReport {
@@ -80,10 +80,9 @@ obs::to_json_fields!(KernelReport {
     galaxies,
     queries,
     total_hits,
-    snapshot_rows,
-    snapshot_bytes,
+    zonemap_rows,
     points,
-    btree_over_snapshot_at_4_workers,
+    btree_over_zonemap_at_4_workers,
 });
 
 /// Run every query on `workers` threads and return per-query digests.
@@ -91,7 +90,7 @@ obs::to_json_fields!(KernelReport {
 /// chunk of the output, so the digest vector is deterministic.
 fn run_queries(
     db: &MaxBcgDb,
-    snap: Option<&ZoneSnapshot>,
+    map: Option<&ZoneMap>,
     queries: &[(f64, f64)],
     workers: usize,
 ) -> Vec<QueryDigest> {
@@ -101,7 +100,7 @@ fn run_queries(
         for (qs, ds) in queries.chunks(chunk).zip(digests.chunks_mut(chunk)) {
             s.spawn(move || {
                 for (&(ra, dec), d) in qs.iter().zip(ds.iter_mut()) {
-                    visit_nearby_with(db.db(), snap, db.scheme(), ra, dec, R_DEG, |objid, dist, _| {
+                    visit_nearby_with(db.db(), map, db.scheme(), ra, dec, R_DEG, |objid, dist, _| {
                         d.hits += 1;
                         d.objid_sum = d.objid_sum.wrapping_add(objid);
                         d.dist_xor ^= dist.to_bits();
@@ -128,13 +127,8 @@ fn main() {
     println!("  sky: {} galaxies, {} injected clusters", sky.galaxies.len(), sky.truth.len());
     db.import_galaxy(&sky, &case.import).expect("spImportGalaxy");
     db.make_zone().expect("spZone");
-    let snap = db.zone_snapshot().expect("zone cache on by default").clone();
-    println!(
-        "  snapshot: {} rows, {} bytes, epoch {}\n",
-        snap.rows(),
-        snap.bytes(),
-        snap.epoch()
-    );
+    let map = db.zone_snapshot().expect("spZone takes the Zone map").clone();
+    println!("  zone map: {} rows, epoch {}\n", map.len(), map.epoch());
 
     // One query per candidate-region galaxy, like spMakeCandidates fires.
     let queries: Vec<(f64, f64)> = sky
@@ -159,12 +153,12 @@ fn main() {
         "pairs examined",
         "identical",
     ]);
-    for path in ["btree", "snapshot"] {
+    for path in ["btree", "zonemap"] {
         for workers in WORKER_SWEEP {
-            let snap_arg = (path == "snapshot").then_some(&*snap);
+            let map_arg = (path == "zonemap").then_some(&*map);
             let (latch0, pairs0) = (latch_waits.get(), pairs.get());
             let start = Instant::now();
-            let digests = run_queries(&db, snap_arg, &queries, workers);
+            let digests = run_queries(&db, map_arg, &queries, workers);
             let wall = start.elapsed();
             let (latch, pair) = (latch_waits.get() - latch0, pairs.get() - pairs0);
             let identical = match &baseline {
@@ -197,8 +191,8 @@ fn main() {
     }
     println!("{}", t.render());
 
-    let ratio = walls[&("btree", 4)] / walls[&("snapshot", 4)];
-    println!("B-tree / snapshot wall at 4 workers: {ratio:.2}x");
+    let ratio = walls[&("btree", 4)] / walls[&("zonemap", 4)];
+    println!("B-tree / zone map wall at 4 workers: {ratio:.2}x");
     let total_hits = baseline.as_ref().map(|b| b.iter().map(|d| d.hits).sum()).unwrap_or(0);
     let report = KernelReport {
         scale: opts.scale,
@@ -206,10 +200,9 @@ fn main() {
         galaxies: sky.galaxies.len(),
         queries: queries.len(),
         total_hits,
-        snapshot_rows: snap.rows(),
-        snapshot_bytes: snap.bytes(),
+        zonemap_rows: map.len(),
         points,
-        btree_over_snapshot_at_4_workers: ratio,
+        btree_over_zonemap_at_4_workers: ratio,
     };
     let path = opts.write_report("zone_kernel", &report);
     println!("report written to {}", path.display());
@@ -217,12 +210,12 @@ fn main() {
 
     assert!(
         report.points.iter().all(|p| p.identical_to_baseline),
-        "snapshot and B-tree paths must agree on every query"
+        "zone map and B-tree paths must agree on every query"
     );
     // Perf claims only hold once the sky is dense enough that per-query
     // work dominates thread startup; tiny CI skies just print the ratio.
     if opts.scale >= 0.05 {
-        assert!(ratio >= 3.0, "snapshot path must be >=3x faster at 4 workers, got {ratio:.2}x");
+        assert!(ratio >= 3.0, "zone map path must be >=3x faster at 4 workers, got {ratio:.2}x");
         let lw = |p: &str| {
             report
                 .points
@@ -232,9 +225,9 @@ fn main() {
                 .unwrap_or(0)
         };
         assert!(
-            lw("snapshot") <= lw("btree"),
-            "snapshot path must not add latch contention ({} vs {})",
-            lw("snapshot"),
+            lw("zonemap") <= lw("btree"),
+            "zone map path must not add latch contention ({} vs {})",
+            lw("zonemap"),
             lw("btree")
         );
     }

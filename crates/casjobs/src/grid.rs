@@ -11,6 +11,7 @@
 
 use crate::users::UserId;
 use gridsim::FaultPlan;
+use maxbcg::partition::owns;
 use maxbcg::{IterationMode, MaxBcgConfig, MaxBcgDb};
 use skycore::types::Cluster;
 use skycore::SkyRegion;
@@ -171,17 +172,9 @@ impl DataGrid {
         gobs().submissions.incr();
         let start = Instant::now();
         let config = MaxBcgConfig { iteration: IterationMode::SetBased, ..self.config };
-        let faults = self.faults.as_ref();
         let mut outcomes: Vec<NodeOutcome> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .nodes
-                .iter()
-                .map(|node| {
-                    let sky = Arc::clone(&self.sky);
-                    scope.spawn(move || {
-                        run_node_contained(node, &sky, candidate_window, config, faults, 0)
-                    })
-                })
+            let handles: Vec<_> = (0..self.nodes.len())
+                .map(|k| scope.spawn(move || self.run_node_contained(k, candidate_window, config, 0)))
                 .collect();
             self.nodes
                 .iter()
@@ -210,14 +203,7 @@ impl DataGrid {
                 .find(|(j, o)| *j != i && o.deployed && o.error.is_none())
                 .map_or_else(|| "origin".to_owned(), |(j, _)| self.nodes[j].name.clone());
             for attempt in 1..=3u32 {
-                let retry = run_node_contained(
-                    &self.nodes[i],
-                    &self.sky,
-                    candidate_window,
-                    config,
-                    faults,
-                    attempt,
-                );
+                let retry = self.run_node_contained(i, candidate_window, config, attempt);
                 let done = retry.error.is_none();
                 outcomes[i] = retry;
                 if done {
@@ -261,86 +247,88 @@ fn failed_outcome(name: &str, elapsed: Duration, error: String) -> NodeOutcome {
     }
 }
 
-/// Run one node with panic containment: a panic anywhere inside the
-/// MaxBCG engine (or injected by the fault plan) becomes a failed
-/// [`NodeOutcome`] instead of tearing down the coordinator.
-fn run_node_contained(
-    node: &CasNode,
-    sky: &Sky,
-    candidate_window: &SkyRegion,
-    config: MaxBcgConfig,
-    faults: Option<&FaultPlan>,
-    attempt: u32,
-) -> NodeOutcome {
-    let t0 = Instant::now();
-    gobs().nodes_run.incr();
-    catch_unwind(AssertUnwindSafe(|| {
-        run_node(node, sky, candidate_window, config, faults, attempt)
-    }))
-    .unwrap_or_else(|payload| {
-        gobs().panics_contained.incr();
-        failed_outcome(&node.name, t0.elapsed(), panic_message(&payload))
-    })
-}
+impl DataGrid {
+    /// Run node `k` with panic containment: a panic anywhere inside the
+    /// MaxBCG engine (or injected by the fault plan) becomes a failed
+    /// [`NodeOutcome`] instead of tearing down the coordinator.
+    fn run_node_contained(
+        &self,
+        k: usize,
+        candidate_window: &SkyRegion,
+        config: MaxBcgConfig,
+        attempt: u32,
+    ) -> NodeOutcome {
+        let t0 = Instant::now();
+        gobs().nodes_run.incr();
+        catch_unwind(AssertUnwindSafe(|| self.run_node(k, candidate_window, config, attempt)))
+            .unwrap_or_else(|payload| {
+                gobs().panics_contained.incr();
+                failed_outcome(&self.nodes[k].name, t0.elapsed(), panic_message(&payload))
+            })
+    }
 
-fn run_node(
-    node: &CasNode,
-    sky: &Sky,
-    candidate_window: &SkyRegion,
-    config: MaxBcgConfig,
-    faults: Option<&FaultPlan>,
-    attempt: u32,
-) -> NodeOutcome {
-    let t0 = Instant::now();
-    if !node.accepts_deployment {
-        gobs().refusals.incr();
-        return NodeOutcome {
-            node: node.name.clone(),
-            deployed: false,
-            clusters: Vec::new(),
-            cluster_count: 0,
-            elapsed: t0.elapsed(),
-            error: Some(format!("{} refused code deployment", node.organization)),
-            recovered_by: None,
-        };
-    }
-    if let Some(plan) = faults {
-        if plan.node_crashes(&node.name, attempt) {
-            // A real panic, on purpose: the containment path must be the
-            // thing that rescues the run, not a polite error return.
-            panic!("injected node crash on {}", node.name);
+    /// Run node `k` and keep the clusters its native stripe [`owns`], so
+    /// no cluster is collected twice.
+    fn run_node(
+        &self,
+        k: usize,
+        candidate_window: &SkyRegion,
+        config: MaxBcgConfig,
+        attempt: u32,
+    ) -> NodeOutcome {
+        let node = &self.nodes[k];
+        let t0 = Instant::now();
+        if !node.accepts_deployment {
+            gobs().refusals.incr();
+            return NodeOutcome {
+                node: node.name.clone(),
+                deployed: false,
+                clusters: Vec::new(),
+                cluster_count: 0,
+                elapsed: t0.elapsed(),
+                error: Some(format!("{} refused code deployment", node.organization)),
+                recovered_by: None,
+            };
         }
-    }
-    let fringe = SkyRegion::new(
-        candidate_window.ra_min,
-        candidate_window.ra_max,
-        (node.native.dec_min - 0.5).max(candidate_window.dec_min),
-        (node.native.dec_max + 0.5).min(candidate_window.dec_max),
-    );
-    let run = (|| -> Result<Vec<Cluster>, stardb::DbError> {
-        let mut engine = MaxBcgDb::new(config)?;
-        engine.run(&node.name, sky, &node.imported, &fringe)?;
-        Ok(engine
-            .clusters()?
-            .into_iter()
-            .filter(|c| node.native.contains(c.ra, c.dec))
-            .collect())
-    })();
-    match run {
-        Ok(clusters) => NodeOutcome {
-            node: node.name.clone(),
-            deployed: true,
-            cluster_count: clusters.len() as u64,
-            clusters: if node.policy == ResultPolicy::TransferBack {
-                clusters
-            } else {
-                Vec::new()
+        if let Some(plan) = &self.faults {
+            if plan.node_crashes(&node.name, attempt) {
+                // A real panic, on purpose: the containment path must be
+                // the thing that rescues the run, not a polite error return.
+                panic!("injected node crash on {}", node.name);
+            }
+        }
+        let fringe = SkyRegion::new(
+            candidate_window.ra_min,
+            candidate_window.ra_max,
+            (node.native.dec_min - 0.5).max(candidate_window.dec_min),
+            (node.native.dec_max + 0.5).min(candidate_window.dec_max),
+        );
+        let n = self.nodes.len();
+        let run = (|| -> Result<Vec<Cluster>, stardb::DbError> {
+            let mut engine = MaxBcgDb::new(config)?;
+            engine.run(&node.name, &self.sky, &node.imported, &fringe)?;
+            Ok(engine
+                .clusters()?
+                .into_iter()
+                .filter(|c| owns(&node.native, k, n, c.dec))
+                .collect())
+        })();
+        match run {
+            Ok(clusters) => NodeOutcome {
+                node: node.name.clone(),
+                deployed: true,
+                cluster_count: clusters.len() as u64,
+                clusters: if node.policy == ResultPolicy::TransferBack {
+                    clusters
+                } else {
+                    Vec::new()
+                },
+                elapsed: t0.elapsed(),
+                error: None,
+                recovered_by: None,
             },
-            elapsed: t0.elapsed(),
-            error: None,
-            recovered_by: None,
-        },
-        Err(e) => failed_outcome(&node.name, t0.elapsed(), e.to_string()),
+            Err(e) => failed_outcome(&node.name, t0.elapsed(), e.to_string()),
+        }
     }
 }
 
@@ -428,6 +416,29 @@ mod tests {
         single.run("one-site", &g.sky, &g.sky.region.clone(), &cand).unwrap();
         let expected = single.clusters().unwrap();
         assert_eq!(report.collected, expected, "recovered union must equal one-site run");
+    }
+
+    #[test]
+    fn a_dec_on_an_interior_edge_is_owned_by_exactly_one_node() {
+        let (g, _) = grid(3);
+        let n = g.nodes().len();
+        let owners = |dec: f64| {
+            (0..n).filter(|&k| owns(&g.nodes()[k].native, k, n, dec)).count()
+        };
+        for k in 0..n - 1 {
+            let edge = g.nodes()[k].native.dec_max;
+            // Adjacent native stripes share the edge value exactly, so an
+            // inclusive test on both sides would count it twice.
+            assert_eq!(edge, g.nodes()[k + 1].native.dec_min);
+            assert!(g.nodes()[k].native.contains(180.5, edge));
+            assert!(g.nodes()[k + 1].native.contains(180.5, edge));
+            assert_eq!(owners(edge), 1, "interior edge {edge}");
+        }
+        // The survey's own outer edges and interiors stay owned once.
+        let survey = g.sky.region;
+        for dec in [survey.dec_min, survey.dec_max, 0.1, -0.9] {
+            assert_eq!(owners(dec), 1, "dec {dec}");
+        }
     }
 
     #[test]

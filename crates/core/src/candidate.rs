@@ -5,12 +5,11 @@
 
 use crate::import::galaxy_from_payload;
 use crate::neighbors::visit_nearby_with;
-use crate::zone_cache::ZoneSnapshot;
 use skycore::bcg::{self, BcgParams, PassingRedshift};
 use skycore::kcorr::KcorrTable;
 use skycore::types::{Candidate, Friend, Galaxy};
 use skycore::ZoneScheme;
-use stardb::{Database, DbError, DbResult, Value};
+use stardb::{Database, DbError, DbResult, Value, ZoneMap};
 use std::sync::OnceLock;
 
 struct CandidateObs {
@@ -41,12 +40,12 @@ fn cobs() -> &'static CandidateObs {
 /// the χ² cut is applied only at the very end — same answer, dramatically
 /// more work.
 ///
-/// `snap` is the optional zone snapshot: when fresh, the neighbor search
-/// runs columnar; stale or `None` takes the clustered-index path. Either
-/// way the answer is identical (see [`crate::zone_cache`]).
+/// `map` is the optional Zone-table zone map: when fresh, it serves the
+/// neighbor search; stale or `None` takes the clustered-index path. Either
+/// way the answer is identical (see [`crate::neighbors`]).
 pub fn f_bcg_candidate(
     db: &Database,
-    snap: Option<&ZoneSnapshot>,
+    map: Option<&ZoneMap>,
     kcorr: &KcorrTable,
     scheme: &ZoneScheme,
     params: &BcgParams,
@@ -78,7 +77,7 @@ pub fn f_bcg_candidate(
     // photometry and apply the bounding windows.
     let mut friends: Vec<Friend> = Vec::new();
     let mut join_err: Option<DbError> = None;
-    visit_nearby_with(db, snap, scheme, g.ra, g.dec, windows.radius_deg, |objid, distance, _| {
+    visit_nearby_with(db, map, scheme, g.ra, g.dec, windows.radius_deg, |objid, distance, _| {
         if objid == g.objid {
             return true;
         }

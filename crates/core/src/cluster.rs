@@ -7,12 +7,11 @@
 //! galaxy Zone table and joining the hits against `Candidates`.
 
 use crate::neighbors::visit_nearby_with;
-use crate::zone_cache::ZoneSnapshot;
 use skycore::bcg::{self, BcgParams};
 use skycore::kcorr::KcorrTable;
 use skycore::types::Candidate;
 use skycore::ZoneScheme;
-use stardb::{Database, DbResult, Row, Value};
+use stardb::{Database, DbResult, Row, Value, ZoneMap};
 
 /// Decode a `Candidates`/`Clusters` row.
 pub fn candidate_from_row(row: &Row) -> DbResult<Candidate> {
@@ -42,11 +41,11 @@ pub fn candidate_row(c: &Candidate) -> Row {
 
 /// `fIsCluster`: is this candidate the best in its neighborhood?
 ///
-/// `snap` is the optional zone snapshot; fresh → columnar search, stale or
-/// `None` → clustered-index scan, identical answers either way.
+/// `map` is the optional Zone-table zone map; fresh → map-served search,
+/// stale or `None` → clustered-index scan, identical answers either way.
 pub fn f_is_cluster(
     db: &Database,
-    snap: Option<&ZoneSnapshot>,
+    map: Option<&ZoneMap>,
     kcorr: &KcorrTable,
     scheme: &ZoneScheme,
     params: &BcgParams,
@@ -55,7 +54,7 @@ pub fn f_is_cluster(
     let rad = kcorr.nearest(c.z).radius;
     let mut best = f64::NEG_INFINITY;
     let mut join_err: Option<stardb::DbError> = None;
-    visit_nearby_with(db, snap, scheme, c.ra, c.dec, rad, |objid, _distance, _| {
+    visit_nearby_with(db, map, scheme, c.ra, c.dec, rad, |objid, _distance, _| {
         match db.get("Candidates", &[Value::BigInt(objid)]) {
             Ok(Some(row)) => {
                 // Only the z and chi2 columns matter for the max.
@@ -84,11 +83,11 @@ pub fn f_is_cluster(
 ///
 /// `workers > 1` evaluates `fIsCluster` on a zone-striped worker pool
 /// (`fIsCluster` only reads `Zone` and the fully built `Candidates`
-/// table); survivors are re-sorted by objid before insertion so the
+/// table); survivors are inserted in candidate (objid) order, so the
 /// `Clusters` table is byte-identical at any worker count.
 pub fn sp_make_clusters(
     db: &mut Database,
-    snap: Option<&ZoneSnapshot>,
+    map: Option<&ZoneMap>,
     kcorr: &KcorrTable,
     scheme: &ZoneScheme,
     params: &BcgParams,
@@ -102,37 +101,15 @@ pub fn sp_make_clusters(
         candidates.push(candidate_from_row(row)?);
         Ok(true)
     })?;
-    let mut keep: Vec<Candidate> = if workers <= 1 {
-        let mut out = Vec::new();
-        for c in &candidates {
-            if f_is_cluster(db, snap, kcorr, scheme, params, c)? {
-                out.push(*c);
-            }
-        }
-        out
-    } else {
-        let reader = db.reader();
-        let stripes = crate::parallel::zone_stripes(candidates, |c| scheme.zone_of(c.dec), workers);
-        crate::parallel::map_stripes(workers, stripes, |c| {
-            Ok(f_is_cluster(&reader, snap, kcorr, scheme, params, c)?.then_some(*c))
-        })?
-        .into_iter()
-        .flatten()
-        .flatten()
-        .collect()
-    };
-    keep.sort_by_key(|c| c.objid);
-    let mut n = 0;
-    let mut keep = keep.into_iter();
-    loop {
-        let batch: Vec<_> =
-            keep.by_ref().take(crate::parallel::INSERT_BATCH).map(|c| candidate_row(&c)).collect();
-        if batch.is_empty() {
-            break;
-        }
-        n += db.insert_rows("Clusters", batch)?;
-    }
-    Ok(n)
+    crate::parallel::fill_table(
+        db,
+        "Clusters",
+        workers,
+        &candidates,
+        |c| scheme.zone_of(c.dec),
+        |db, c| Ok(f_is_cluster(db, map, kcorr, scheme, params, c)?.then_some(*c)),
+        |c| c.map(|c| candidate_row(&c)),
+    )
 }
 
 #[cfg(test)]

@@ -23,10 +23,9 @@ pub mod schema;
 pub mod script;
 pub mod stats;
 pub mod xmatch;
-pub mod zone_cache;
 pub mod zone_task;
 
-pub use neighbors::{nearby_obj_eq_zd, visit_nearby, visit_nearby_with, Neighbor};
+pub use neighbors::{nearby_obj_eq_zd, visit_nearby, visit_nearby_with, Neighbor, ZONE_MAP_COLS};
 pub use partition::{
     run_partitioned, run_partitioned_recovering, PartitionedRun, RecoveryPolicy, RecoveryReport,
 };
@@ -36,4 +35,3 @@ pub use xmatch::{
     brute_force_xmatch, create_survey_table, expected_match_rate, load_survey, run_xmatch,
     XmatchObj, XmatchSpec,
 };
-pub use zone_cache::{ZoneBucket, ZoneSnapshot};

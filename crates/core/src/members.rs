@@ -6,21 +6,20 @@
 use crate::cluster::candidate_from_row;
 use crate::import::galaxy_from_payload;
 use crate::neighbors::visit_nearby_with;
-use crate::zone_cache::ZoneSnapshot;
 use skycore::bcg::{self, BcgParams};
 use skycore::kcorr::KcorrTable;
 use skycore::types::{Cluster, ClusterMember, Friend};
 use skycore::ZoneScheme;
-use stardb::{Database, DbResult, Row, Value};
+use stardb::{Database, DbResult, Row, Value, ZoneMap};
 
 /// `fGetClusterGalaxiesMetric` for one cluster: the BCG itself (distance
 /// 0) plus every admitted member.
 ///
-/// `snap` is the optional zone snapshot; fresh → columnar search, stale or
-/// `None` → clustered-index scan, identical answers either way.
+/// `map` is the optional Zone-table zone map; fresh → map-served search,
+/// stale or `None` → clustered-index scan, identical answers either way.
 pub fn f_get_cluster_galaxies(
     db: &Database,
-    snap: Option<&ZoneSnapshot>,
+    map: Option<&ZoneMap>,
     kcorr: &KcorrTable,
     scheme: &ZoneScheme,
     params: &BcgParams,
@@ -35,7 +34,7 @@ pub fn f_get_cluster_galaxies(
         distance: 0.0,
     }];
     let mut join_err: Option<stardb::DbError> = None;
-    visit_nearby_with(db, snap, scheme, cluster.ra, cluster.dec, w.radius_deg, |objid, distance, _| {
+    visit_nearby_with(db, map, scheme, cluster.ra, cluster.dec, w.radius_deg, |objid, distance, _| {
         if objid == cluster.objid {
             return true;
         }
@@ -71,13 +70,12 @@ pub fn f_get_cluster_galaxies(
 /// `workers > 1` expands clusters on a zone-striped worker pool
 /// (`fGetClusterGalaxiesMetric` only reads `Galaxy` and `Zone`). The
 /// metric table is a heap whose scan order is insertion order, so the
-/// per-cluster groups are merged back into cluster-objid order — the
-/// sequential insertion order, `Clusters` being objid-clustered — before
-/// writing; within a group the BCG-first visit order is already
-/// deterministic.
+/// per-cluster groups are written in cluster-objid order — `Clusters`
+/// being objid-clustered — at any worker count; within a group the
+/// BCG-first visit order is already deterministic.
 pub fn sp_make_galaxies_metric(
     db: &mut Database,
-    snap: Option<&ZoneSnapshot>,
+    map: Option<&ZoneMap>,
     kcorr: &KcorrTable,
     scheme: &ZoneScheme,
     params: &BcgParams,
@@ -89,42 +87,23 @@ pub fn sp_make_galaxies_metric(
         clusters.push(candidate_from_row(row)?);
         Ok(true)
     })?;
-    let groups: Vec<Vec<ClusterMember>> = if workers <= 1 {
-        let mut out = Vec::with_capacity(clusters.len());
-        for cluster in &clusters {
-            out.push(f_get_cluster_galaxies(db, snap, kcorr, scheme, params, cluster)?);
-        }
-        out
-    } else {
-        let reader = db.reader();
-        let stripes = crate::parallel::zone_stripes(clusters, |c| scheme.zone_of(c.dec), workers);
-        let mut groups: Vec<Vec<ClusterMember>> =
-            crate::parallel::map_stripes(workers, stripes, |cluster| {
-                f_get_cluster_galaxies(&reader, snap, kcorr, scheme, params, cluster)
-            })?
-            .into_iter()
-            .flatten()
-            .collect();
-        // Every group leads with its BCG row, so the key always exists.
-        groups.sort_by_key(|ms| ms.first().map(|m| m.cluster_objid));
-        groups
-    };
-    let mut n = 0;
-    let mut rows = groups.into_iter().flatten().map(|m| {
-        Row(vec![
-            Value::BigInt(m.cluster_objid),
-            Value::BigInt(m.galaxy_objid),
-            Value::Float(m.distance),
-        ])
-    });
-    loop {
-        let batch: Vec<Row> = rows.by_ref().take(crate::parallel::INSERT_BATCH).collect();
-        if batch.is_empty() {
-            break;
-        }
-        n += db.insert_rows("ClusterGalaxiesMetric", batch)?;
-    }
-    Ok(n)
+    crate::parallel::fill_table(
+        db,
+        "ClusterGalaxiesMetric",
+        workers,
+        &clusters,
+        |c| scheme.zone_of(c.dec),
+        |db, cluster| f_get_cluster_galaxies(db, map, kcorr, scheme, params, cluster),
+        |group| {
+            group.into_iter().map(|m| {
+                Row(vec![
+                    Value::BigInt(m.cluster_objid),
+                    Value::BigInt(m.galaxy_objid),
+                    Value::Float(m.distance),
+                ])
+            })
+        },
+    )
 }
 
 #[cfg(test)]

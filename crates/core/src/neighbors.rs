@@ -6,25 +6,42 @@
 //! chord distance beats `4 sin²(r/2)`. The range scans run against the
 //! `(zoneid, ra, objid)` clustered index — "this pure SQL approach avoids
 //! the cost of using expensive calls to the external C-HTM libraries".
+//!
+//! The same search can be served from the Zone table's [`ZoneMap`], the
+//! engine's columnar zone index (`Database::zone_map`): per zone, one RA
+//! binary search yields the run of rows the clustered scan would surface,
+//! in the same order, and the kernel reads their stored columns instead of
+//! decoding payloads under buffer-pool latches. The clustered-index scan
+//! stays the reference and the fallback for a stale or absent map.
 
-use crate::zone_cache::{zobs, ZoneSnapshot};
 use crate::zone_task::zone_entry_from_payload;
 use skycore::angle::{chord2_of_deg, deg_of_chord_approx};
 use skycore::{ra_intervals, UnitVec, ZoneScheme};
-use stardb::{Database, DbResult, Value};
+use stardb::colbatch::ColumnData;
+use stardb::{Database, DbResult, Value, ZoneMap};
 use std::sync::OnceLock;
+
+/// Positions of `zoneid` and `ra` in the Zone schema: the key columns of
+/// the Zone table's zone map.
+pub const ZONE_MAP_COLS: (usize, usize) = (0, 1);
 
 struct NeighborObs {
     searches: obs::Counter,
     zones_scanned: obs::Counter,
     pairs_examined: obs::Counter,
     pairs_per_zone: obs::Histogram,
+    map_hits: obs::Counter,
+    map_fallbacks: obs::Counter,
 }
 
 /// Pair-examination accounting for the zone join. `pairs_examined` counts
 /// rows the RA range scan surfaced (before the dec/chord cut);
 /// `pairs_per_zone` is its per-zone-stripe distribution, the quantity the
-/// zone-height tuning in the paper's tech report optimizes.
+/// zone-height tuning in the paper's tech report optimizes. The
+/// `zonecache` pair counts searches offered a zone map: `hits` were served
+/// from it, `fallbacks` found it stale and took the clustered index —
+/// recovery drills assert `fallbacks > 0` whenever a fault re-zoned under
+/// a live map.
 fn nobs() -> &'static NeighborObs {
     static N: OnceLock<NeighborObs> = OnceLock::new();
     N.get_or_init(|| NeighborObs {
@@ -32,7 +49,41 @@ fn nobs() -> &'static NeighborObs {
         zones_scanned: obs::counter("maxbcg.neighbors.zones_scanned"),
         pairs_examined: obs::counter("maxbcg.neighbors.pairs_examined"),
         pairs_per_zone: obs::histogram("maxbcg.neighbors.pairs_per_zone"),
+        map_hits: obs::counter("maxbcg.zonecache.hits"),
+        map_fallbacks: obs::counter("maxbcg.zonecache.fallbacks"),
     })
+}
+
+/// The Zone-table columns a zone map serves, borrowed from its batch.
+struct ZoneColumns<'m> {
+    map: &'m ZoneMap,
+    objid: &'m [i64],
+    dec: &'m [f64],
+    cx: &'m [f64],
+    cy: &'m [f64],
+    cz: &'m [f64],
+}
+
+impl<'m> ZoneColumns<'m> {
+    /// `None` unless `map` indexes the live Zone table: built at its
+    /// current version, over its key columns, with its column layout.
+    fn of(db: &Database, map: &'m ZoneMap) -> Option<ZoneColumns<'m>> {
+        if db.table_version("Zone").ok()? != map.epoch() || map.key_cols() != ZONE_MAP_COLS {
+            return None;
+        }
+        let b = map.batch();
+        if b.num_cols() != 7 {
+            return None;
+        }
+        let float = |c: usize| match &b.col(c).data {
+            ColumnData::Float(v) => Some(v.as_slice()),
+            _ => None,
+        };
+        let ColumnData::BigInt(objid) = &b.col(2).data else {
+            return None;
+        };
+        Some(ZoneColumns { map, objid, dec: float(3)?, cx: float(4)?, cy: float(5)?, cz: float(6)? })
+    }
 }
 
 /// One neighbor hit: object id and angular distance in degrees (the
@@ -83,35 +134,34 @@ pub fn visit_nearby(
     visit_nearby_with(db, None, scheme, ra, dec, r, visit)
 }
 
-/// [`visit_nearby`] with an optional [`ZoneSnapshot`]: a fresh snapshot is
-/// served from its struct-of-arrays buckets (binary-searched RA window,
-/// contiguous column slices, no latches, no payload decode); a stale or
-/// absent one falls back to the clustered-index scan. Both paths surface
-/// the same rows in the same order and feed the same stored unit vectors
-/// to the same chord arithmetic, so results are bit-identical — the
-/// snapshot changes cost, never answers.
+/// [`visit_nearby`] with an optional Zone-table [`ZoneMap`]: a fresh map
+/// serves the search (one binary-searched RA window per zone, column
+/// reads, no latches, no payload decode); a stale or absent one falls back
+/// to the clustered-index scan. Both paths surface the same rows in the
+/// same order and feed the same stored unit vectors to the same chord
+/// arithmetic, so results are bit-identical — the map changes cost, never
+/// answers.
 pub fn visit_nearby_with(
     db: &Database,
-    snap: Option<&ZoneSnapshot>,
+    map: Option<&ZoneMap>,
     scheme: &ZoneScheme,
     ra: f64,
     dec: f64,
     r: f64,
     mut visit: impl FnMut(i64, f64, f64) -> bool,
 ) -> DbResult<()> {
-    // Resolve the path once per search: the epoch read and the scans below
-    // share one `&Database` borrow, so freshness cannot change mid-search.
-    let snap = match snap {
-        Some(s) if s.is_fresh(db) => {
-            zobs().hits.incr();
-            Some(s)
+    // Resolve the path once per search: the version read and the scans
+    // below share one `&Database` borrow, so freshness cannot change
+    // mid-search.
+    let cols = map.and_then(|m| {
+        let cols = ZoneColumns::of(db, m);
+        if cols.is_some() {
+            nobs().map_hits.incr();
+        } else {
+            nobs().map_fallbacks.incr();
         }
-        Some(_) => {
-            zobs().fallbacks.incr();
-            None
-        }
-        None => None,
-    };
+        cols
+    });
     let center = UnitVec::from_radec(ra, dec);
     let r2 = chord2_of_deg(r);
     let (zone_min, zone_max) = scheme.zone_range(dec, r);
@@ -129,20 +179,20 @@ pub fn visit_nearby_with(
         hits.clear();
         let mut scanned: u64 = 0;
         for &(ra_lo, ra_hi) in &intervals[..n_intervals] {
-            match snap {
-                Some(s) => {
-                    let b = s.bucket(zone);
-                    let (start, end) = b.ra_window(ra_lo, ra_hi);
-                    scanned += (end - start) as u64;
-                    for i in start..end {
+            match &cols {
+                Some(z) => {
+                    let window = z.map.window(i64::from(zone), ra_lo, ra_hi);
+                    scanned += window.len() as u64;
+                    for &i in window {
+                        let i = i as usize;
                         // The paper's WHERE clause: dec window plus exact
                         // chord cut, on columns instead of decoded rows.
-                        let d = b.dec[i];
+                        let d = z.dec[i];
                         if d >= dec_lo && d <= dec_hi {
-                            let pos = UnitVec { x: b.cx[i], y: b.cy[i], z: b.cz[i] };
+                            let pos = UnitVec { x: z.cx[i], y: z.cy[i], z: z.cz[i] };
                             let c2 = center.chord2(&pos);
                             if c2 < r2 {
-                                hits.push((b.objid[i], c2, d));
+                                hits.push((z.objid[i], c2, d));
                             }
                         }
                     }
@@ -275,11 +325,11 @@ mod tests {
     }
 
     /// Dual-path harness: run a search on the B-tree path and on a fresh
-    /// snapshot, assert the *ordered* hit streams are bit-identical, and
+    /// zone map, assert the *ordered* hit streams are bit-identical, and
     /// return the sorted ids for brute-force comparison.
     fn both_paths(
         db: &Database,
-        snap: &ZoneSnapshot,
+        map: &ZoneMap,
         scheme: &ZoneScheme,
         ra: f64,
         dec: f64,
@@ -291,22 +341,22 @@ mod tests {
             true
         })
         .unwrap();
-        let mut soa: Vec<(i64, u64, u64)> = Vec::new();
-        visit_nearby_with(db, Some(snap), scheme, ra, dec, r, |id, d, hd| {
-            soa.push((id, d.to_bits(), hd.to_bits()));
+        let mut mapped: Vec<(i64, u64, u64)> = Vec::new();
+        visit_nearby_with(db, Some(map), scheme, ra, dec, r, |id, d, hd| {
+            mapped.push((id, d.to_bits(), hd.to_bits()));
             true
         })
         .unwrap();
-        assert_eq!(btree, soa, "paths diverged at ({ra},{dec},{r})");
-        let mut ids: Vec<i64> = soa.into_iter().map(|(id, _, _)| id).collect();
+        assert_eq!(btree, mapped, "paths diverged at ({ra},{dec},{r})");
+        let mut ids: Vec<i64> = mapped.into_iter().map(|(id, _, _)| id).collect();
         ids.sort_unstable();
         ids
     }
 
     #[test]
-    fn snapshot_path_matches_btree_and_brute_force() {
+    fn zone_map_path_matches_btree_and_brute_force() {
         let (db, sky, scheme) = setup(41);
-        let snap = ZoneSnapshot::build(&db).unwrap();
+        let map = db.zone_map("Zone", 0, 1).unwrap();
         for &(ra, dec, r) in &[
             (180.5, 0.0, 0.5),
             (180.2, 0.3, 0.25),
@@ -315,7 +365,7 @@ mod tests {
             (180.0, 0.0, 0.02), // window pokes past the populated edge
         ] {
             assert_eq!(
-                both_paths(&db, &snap, &scheme, ra, dec, r),
+                both_paths(&db, &map, &scheme, ra, dec, r),
                 brute_force(&sky, ra, dec, r),
                 "at ({ra},{dec},{r})"
             );
@@ -356,20 +406,20 @@ mod tests {
             (0.65, 0.0),
             (180.0, 0.0), // far control, must never appear
         ]);
-        let snap = ZoneSnapshot::build(&db).unwrap();
+        let map = db.zone_map("Zone", 0, 1).unwrap();
         for &(ra, dec, r) in &[
             (0.05, 0.0, 0.5),   // center just east of the seam
             (359.9, 0.0, 0.5),  // center just west of the seam
             (0.0, 0.0, 0.4),    // center exactly on the seam
             (359.99, 0.02, 0.05),
         ] {
-            let got = both_paths(&db, &snap, &scheme, ra, dec, r);
+            let got = both_paths(&db, &map, &scheme, ra, dec, r);
             assert_eq!(got, brute_force(&sky, ra, dec, r), "at ({ra},{dec},{r})");
             assert!(!got.is_empty(), "wrap search at ({ra},{dec},{r}) found nothing");
             assert!(!got.contains(&9), "far control leaked in at ({ra},{dec},{r})");
         }
         // Sanity: at least one query must actually straddle the seam.
-        let straddles = both_paths(&db, &snap, &scheme, 0.05, 0.0, 0.5);
+        let straddles = both_paths(&db, &map, &scheme, 0.05, 0.0, 0.5);
         assert!(straddles.contains(&2) && straddles.contains(&7));
     }
 
@@ -386,18 +436,18 @@ mod tests {
             (200.0, -89.99),
             (0.0, 89.0), // just outside a 0.1-degree polar cap
         ]);
-        let snap = ZoneSnapshot::build(&db).unwrap();
+        let map = db.zone_map("Zone", 0, 1).unwrap();
         for &(ra, dec, r) in &[
             (0.0, 89.98, 0.1),    // cap contains the north pole
             (120.0, 89.97, 0.08), // wide in RA but not over the pole
             (200.0, -89.98, 0.1), // south polar cap
             (350.0, 89.999, 0.05),
         ] {
-            let got = both_paths(&db, &snap, &scheme, ra, dec, r);
+            let got = both_paths(&db, &map, &scheme, ra, dec, r);
             assert_eq!(got, brute_force(&sky, ra, dec, r), "at ({ra},{dec},{r})");
         }
         // The polar caps really do capture objects all around in RA.
-        let cap = both_paths(&db, &snap, &scheme, 0.0, 89.98, 0.1);
+        let cap = both_paths(&db, &map, &scheme, 0.0, 89.98, 0.1);
         assert!(cap.len() >= 4, "polar cap found only {cap:?}");
     }
 
@@ -414,41 +464,62 @@ mod tests {
         sp_import_galaxy(&mut db, &sky, &region).unwrap();
         let coarse = ZoneScheme::with_height(1.0);
         sp_zone(&mut db, &coarse).unwrap();
-        let snap = ZoneSnapshot::build(&db).unwrap();
+        let map = db.zone_map("Zone", 0, 1).unwrap();
         for &(ra, dec, r) in &[(181.0, 0.3, 2.5), (180.0, -1.2, 1.7)] {
-            let got = both_paths(&db, &snap, &coarse, ra, dec, r);
+            let got = both_paths(&db, &map, &coarse, ra, dec, r);
             assert_eq!(got, brute_force(&sky, ra, dec, r), "at ({ra},{dec},{r})");
             assert!(!got.is_empty());
         }
     }
 
     #[test]
-    fn stale_snapshot_falls_back_to_the_btree_path() {
+    fn stale_zone_map_falls_back_to_the_btree_path() {
         let (mut db, sky, scheme) = setup(45);
-        let snap = ZoneSnapshot::build(&db).unwrap();
-        let hits_0 = zobs().hits.get();
-        let falls_0 = zobs().fallbacks.get();
+        let map = db.zone_map("Zone", 0, 1).unwrap();
+        let hits_0 = nobs().map_hits.get();
+        let falls_0 = nobs().map_fallbacks.get();
 
-        // Fresh: the columnar path serves the search. (Counters are
-        // process-global and sibling tests run concurrently, so assert
-        // monotonic movement, not exact deltas.)
-        let fresh = both_paths(&db, &snap, &scheme, 180.5, 0.0, 0.3);
-        assert!(zobs().hits.get() > hits_0, "fresh search must count a hit");
+        // Fresh: the map serves the search. (Counters are process-global
+        // and sibling tests run concurrently, so assert monotonic
+        // movement, not exact deltas.)
+        let fresh = both_paths(&db, &map, &scheme, 180.5, 0.0, 0.3);
+        assert!(nobs().map_hits.get() > hits_0, "fresh search must count a hit");
 
-        // Mutate Zone after the build: the same snapshot must now be
-        // bypassed, and results must still be correct (the table was
-        // rebuilt with identical content, only its epoch moved).
+        // Mutate Zone after the build: the same map must now be bypassed,
+        // and results must still be correct (the table was rebuilt with
+        // identical content, only its version moved).
         sp_zone(&mut db, &scheme).unwrap();
+        assert_ne!(db.table_version("Zone").unwrap(), map.epoch());
         let mut stale: Vec<i64> = Vec::new();
-        visit_nearby_with(&db, Some(&snap), &scheme, 180.5, 0.0, 0.3, |id, _, _| {
+        visit_nearby_with(&db, Some(&map), &scheme, 180.5, 0.0, 0.3, |id, _, _| {
             stale.push(id);
             true
         })
         .unwrap();
-        assert!(zobs().fallbacks.get() > falls_0, "stale search must count a fallback");
+        assert!(nobs().map_fallbacks.get() > falls_0, "stale search must count a fallback");
         stale.sort_unstable();
         assert_eq!(stale, fresh);
         assert_eq!(stale, brute_force(&sky, 180.5, 0.0, 0.3));
+    }
+
+    #[test]
+    fn a_map_over_another_table_falls_back() {
+        // Same version, wrong table: the Galaxy map has no Zone layout,
+        // so the search must take the clustered index, not misread it.
+        let (mut db, sky, scheme) = setup(46);
+        db.commit().unwrap();
+        assert_eq!(db.table_version("Galaxy").unwrap(), db.table_version("Zone").unwrap());
+        let galaxy = db.zone_map("Galaxy", 0, 1).unwrap();
+        let falls_0 = nobs().map_fallbacks.get();
+        let mut got: Vec<i64> = Vec::new();
+        visit_nearby_with(&db, Some(&galaxy), &scheme, 180.5, 0.0, 0.3, |id, _, _| {
+            got.push(id);
+            true
+        })
+        .unwrap();
+        assert!(nobs().map_fallbacks.get() > falls_0);
+        got.sort_unstable();
+        assert_eq!(got, brute_force(&sky, 180.5, 0.0, 0.3));
     }
 
     #[test]

@@ -10,21 +10,21 @@
 //! workers touch mostly disjoint pages (and therefore disjoint buffer-pool
 //! latch shards).
 //!
-//! Determinism contract: workers only *compute*; they never insert. The
-//! caller merges stripe results back into objid order before writing, so
-//! the produced catalogs are byte-identical to the sequential run at any
-//! worker count. Telemetry is counters and histograms only (never spans,
-//! which are thread-local) and no-ops when `obs` is disabled, so disabling
-//! telemetry cannot perturb results either.
+//! Determinism contract: workers only *compute*; they never insert.
+//! [`fill_table`] puts stripe results back into input order before
+//! writing, so the produced catalogs are byte-identical to the sequential
+//! run at any worker count. Telemetry is counters and histograms only
+//! (never spans, which are thread-local) and no-ops when `obs` is
+//! disabled, so disabling telemetry cannot perturb results either.
 
-use stardb::DbResult;
+use stardb::{Database, DbResult, Row};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Rows per `insert_rows` batch when writing merged results back.
-pub(crate) const INSERT_BATCH: usize = 256;
+const INSERT_BATCH: usize = 256;
 
 struct ParObs {
     pools: obs::Counter,
@@ -51,7 +51,7 @@ fn pobs() -> &'static ParObs {
 /// roughly `len / (4 * workers)` items (4x oversubscription smooths load
 /// imbalance between dense and sparse stripes). Items within a stripe keep
 /// their input order; stripes are ordered by zone.
-pub fn zone_stripes<T>(
+fn zone_stripes<T>(
     items: Vec<T>,
     zone_of: impl Fn(&T) -> i32,
     workers: usize,
@@ -81,7 +81,7 @@ pub fn zone_stripes<T>(
 /// indexed by stripe, with items in stripe order, regardless of which
 /// thread ran what. Errors are reported in deterministic stripe order
 /// (the first failing stripe wins, not the first failing thread).
-pub fn map_stripes<T, R>(
+fn map_stripes<T, R>(
     workers: usize,
     stripes: Vec<Vec<T>>,
     eval: impl Fn(&T) -> DbResult<R> + Sync,
@@ -119,6 +119,55 @@ where
         .into_iter()
         .map(|slot| slot.into_inner().unwrap().expect("every stripe claimed"))
         .collect()
+}
+
+/// One pipeline stage: evaluate `eval` for every item, then insert the
+/// rows `rows` makes of each result into `table`, in item order. Returns
+/// the number of rows inserted.
+///
+/// With `workers <= 1` every evaluation runs on the calling thread, so
+/// spans nest exactly as in plain sequential code. With more, workers
+/// claim zone stripes of the items (`zone_of`) and the results are put
+/// back into item order before the first insert, so the table is
+/// byte-identical at any worker count.
+pub(crate) fn fill_table<T, R, I>(
+    db: &mut Database,
+    table: &str,
+    workers: usize,
+    items: &[T],
+    zone_of: impl Fn(&T) -> i32,
+    eval: impl Fn(&Database, &T) -> DbResult<R> + Sync,
+    rows: impl FnMut(R) -> I,
+) -> DbResult<u64>
+where
+    T: Sync,
+    R: Send,
+    I: IntoIterator<Item = Row>,
+{
+    let results: Vec<R> = if workers <= 1 {
+        items.iter().map(|t| eval(db, t)).collect::<DbResult<_>>()?
+    } else {
+        let reader: &Database = db;
+        let tagged: Vec<(usize, &T)> = items.iter().enumerate().collect();
+        let stripes = zone_stripes(tagged, |&(_, t)| zone_of(t), workers);
+        let mut out: Vec<(usize, R)> =
+            map_stripes(workers, stripes, |&(i, t)| Ok((i, eval(reader, t)?)))?
+                .into_iter()
+                .flatten()
+                .collect();
+        out.sort_unstable_by_key(|&(i, _)| i);
+        out.into_iter().map(|(_, r)| r).collect()
+    };
+    let mut rows = results.into_iter().flat_map(rows);
+    let mut n = 0;
+    loop {
+        let batch: Vec<Row> = rows.by_ref().take(INSERT_BATCH).collect();
+        if batch.is_empty() {
+            break;
+        }
+        n += db.insert_rows(table, batch)?;
+    }
+    Ok(n)
 }
 
 #[cfg(test)]
@@ -163,6 +212,34 @@ mod tests {
         let flat1: Vec<i64> = run(1).concat();
         for workers in [2, 4, 8] {
             assert_eq!(run(workers).concat(), flat1, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn fill_table_writes_item_order_at_any_worker_count() {
+        use stardb::{Column, DataType, DbConfig, Schema, Value};
+        let items: Vec<i64> = (0..300).collect();
+        let fill = |workers: usize| -> Vec<Row> {
+            let mut db = Database::new(DbConfig::in_memory());
+            db.create_table("t", Schema::new(vec![Column::new("v", DataType::BigInt)])).unwrap();
+            let n = fill_table(
+                &mut db,
+                "t",
+                workers,
+                &items,
+                // Zones deliberately out of item order.
+                |&i| (i % 13) as i32,
+                |_, &i| Ok((i % 3 != 0).then_some(i)),
+                |v| v.map(|i| Row(vec![Value::BigInt(i)])),
+            )
+            .unwrap();
+            assert_eq!(n, 200);
+            db.scan("t").unwrap()
+        };
+        let one = fill(1);
+        assert!(one.windows(2).all(|w| w[0].i64(0).unwrap() < w[1].i64(0).unwrap()));
+        for workers in [2, 4, 8] {
+            assert_eq!(fill(workers), one, "workers={workers}");
         }
     }
 

@@ -126,11 +126,11 @@ pub struct RecoveryReport {
 
 /// Run one stripe's share-nothing database end to end.
 ///
-/// Each node builds its own zone snapshot inside `node.run` (after its
-/// `spZone`), so the stripe's worker pool shares one columnar image per
+/// Each node takes its own Zone map inside `node.run` (after its
+/// `spZone`), so the stripe's worker pool shares one columnar index per
 /// partition instead of contending on the node's buffer pool — and a
-/// partition retried after a fault rebuilds both table and snapshot from
-/// scratch, never inheriting a stale image across attempts.
+/// partition retried after a fault rebuilds both table and map from
+/// scratch, never inheriting a stale index across attempts.
 fn run_one_partition(
     config: &MaxBcgConfig,
     sky: &Sky,
@@ -436,10 +436,12 @@ pub fn run_memory_fit(
     }
 }
 
-/// Stripe ownership with half-open boundaries: a galaxy exactly on an
-/// interior stripe edge belongs to the stripe above, so no object is owned
-/// twice. The top stripe keeps its inclusive upper edge.
-fn owns(native: &SkyRegion, index: usize, n: usize, dec: f64) -> bool {
+/// Stripe ownership, the one rule every partitioned run uses: stripe
+/// `index` of `n` owns `dec` on the half-open `[dec_min, dec_max)` of its
+/// `native` stripe, the top stripe keeping its inclusive upper edge.
+/// Adjacent stripes share their edge value exactly, so an object on an
+/// interior edge belongs to the stripe above and is never owned twice.
+pub fn owns(native: &SkyRegion, index: usize, n: usize, dec: f64) -> bool {
     let above_ok = if index + 1 == n { dec <= native.dec_max } else { dec < native.dec_max };
     dec >= native.dec_min && above_ok
 }

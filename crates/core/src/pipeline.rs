@@ -5,17 +5,18 @@ use crate::candidate::f_bcg_candidate;
 use crate::cluster::{candidate_from_row, candidate_row, sp_make_clusters};
 use crate::import::{galaxy_from_row, sp_import_galaxy};
 use crate::members::sp_make_galaxies_metric;
+use crate::neighbors::ZONE_MAP_COLS;
 use crate::parallel;
 use crate::schema::create_schema;
 use crate::stats::PipelineRun;
-use crate::zone_cache::ZoneSnapshot;
 use crate::zone_task::sp_zone;
 use skycore::bcg::BcgParams;
 use skycore::kcorr::{KcorrConfig, KcorrTable};
 use skycore::types::{Candidate, Cluster, ClusterMember};
 use skycore::{SkyRegion, ZoneScheme};
 use skysim::Sky;
-use stardb::{Database, DbConfig, DbResult, TaskStats};
+use stardb::{Database, DbConfig, DbResult, TaskStats, ZoneMap};
+use std::sync::Arc;
 
 /// How `spMakeCandidates` iterates the galaxy table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,11 +50,6 @@ pub struct MaxBcgConfig {
     /// workers only evaluate, the merge and all inserts stay ordered by
     /// objid (see [`crate::parallel`]).
     pub workers: usize,
-    /// Materialize the Zone table into a columnar snapshot after `spZone`
-    /// and serve the zone join from it (see [`crate::zone_cache`]). Off
-    /// runs every search on the clustered index; catalogs are byte
-    /// identical either way, so this is purely a cost knob.
-    pub zone_cache: bool,
 }
 
 impl Default for MaxBcgConfig {
@@ -66,7 +62,6 @@ impl Default for MaxBcgConfig {
             iteration: IterationMode::Cursor,
             early_filter: true,
             workers: 1,
-            zone_cache: true,
         }
     }
 }
@@ -78,11 +73,11 @@ pub struct MaxBcgDb {
     kcorr: KcorrTable,
     scheme: ZoneScheme,
     config: MaxBcgConfig,
-    /// Columnar image of the Zone table, rebuilt after every `spZone` when
-    /// `config.zone_cache` is on. `Arc`-shared so worker pools and the
-    /// partition runner read one copy; epoch checks inside the neighbor
-    /// kernel keep it safe against out-of-band Zone mutations.
-    snapshot: Option<std::sync::Arc<ZoneSnapshot>>,
+    /// The Zone table's zone map, taken from the database's cache after
+    /// every `spZone` — the same `Arc` the cache holds, shared by every
+    /// worker. Version checks inside the neighbor kernel keep it safe
+    /// against out-of-band Zone mutations.
+    zone_map: Option<Arc<ZoneMap>>,
 }
 
 impl MaxBcgDb {
@@ -96,7 +91,7 @@ impl MaxBcgDb {
             kcorr,
             scheme: ZoneScheme::with_height(config.zone_height_deg),
             config,
-            snapshot: None,
+            zone_map: None,
         })
     }
 
@@ -128,25 +123,22 @@ impl MaxBcgDb {
         Ok(stats)
     }
 
-    /// `spZone` as a measured task. With the zone cache enabled this also
-    /// rebuilds the columnar snapshot, since the truncate-and-refill just
-    /// moved the Zone table's epoch.
+    /// `spZone` as a measured task. The truncate-and-refill moves the Zone
+    /// table's version, so this also takes the table's fresh zone map
+    /// from the database (built here, on the cache miss).
     pub fn make_zone(&mut self) -> DbResult<TaskStats> {
         let scheme = self.scheme;
         let (_, stats) = self.db.run_task("spZone", |db| sp_zone(db, &scheme))?;
-        self.snapshot = if self.config.zone_cache {
-            Some(std::sync::Arc::new(ZoneSnapshot::build(&self.db)?))
-        } else {
-            None
-        };
+        self.zone_map = Some(self.db.zone_map("Zone", ZONE_MAP_COLS.0, ZONE_MAP_COLS.1)?);
         Ok(stats)
     }
 
-    /// The current zone snapshot, if the cache is enabled and `spZone` has
-    /// run. May be stale if the Zone table was mutated out of band — the
-    /// neighbor kernel checks the epoch and falls back on its own.
-    pub fn zone_snapshot(&self) -> Option<&std::sync::Arc<ZoneSnapshot>> {
-        self.snapshot.as_ref()
+    /// The Zone table's zone map as of the last `spZone`; `None` before
+    /// `spZone` has run. May be stale if the Zone table was mutated out of
+    /// band — the neighbor kernel checks the version and falls back on its
+    /// own.
+    pub fn zone_snapshot(&self) -> Option<&Arc<ZoneMap>> {
+        self.zone_map.as_ref()
     }
 
     /// `spMakeCandidates` over `window` as a measured task (the paper files
@@ -157,14 +149,14 @@ impl MaxBcgDb {
         let params = self.config.params;
         let iteration = self.config.iteration;
         let early = self.config.early_filter;
-        let workers = self.config.workers.max(1);
-        let snapshot = self.snapshot.clone();
-        let snap = snapshot.as_deref();
+        let workers = self.config.workers;
+        let map = self.zone_map.as_deref();
         let (_, stats) = self.db.run_task("fBCGCandidate", |db| {
             db.truncate("Candidates")?;
             // Materialize the galaxy list with the configured iteration
             // strategy: the cursor's fetch-at-a-time cost profile is the
-            // paper's, the streaming scan is §2.6's set-based wish.
+            // paper's, the streaming scan is §2.6's set-based wish. Either
+            // way the list is in objid order, and so is the catalog.
             let mut galaxies = Vec::new();
             match iteration {
                 IterationMode::Cursor => {
@@ -186,39 +178,15 @@ impl MaxBcgDb {
                     })?;
                 }
             }
-            let mut cands: Vec<Candidate> = if workers <= 1 {
-                let mut out = Vec::new();
-                for g in &galaxies {
-                    if let Some(c) = f_bcg_candidate(db, snap, kcorr, &scheme, &params, g, early)? {
-                        out.push(c);
-                    }
-                }
-                out
-            } else {
-                let reader = db.reader();
-                let stripes = parallel::zone_stripes(galaxies, |g| scheme.zone_of(g.dec), workers);
-                parallel::map_stripes(workers, stripes, |g| {
-                    f_bcg_candidate(&reader, snap, kcorr, &scheme, &params, g, early)
-                })?
-                .into_iter()
-                .flatten()
-                .flatten()
-                .collect()
-            };
-            // The galaxy scan surfaces objid order; re-sorting after the
-            // stripe merge restores it, so the catalog bytes never depend
-            // on the worker count.
-            cands.sort_by_key(|c| c.objid);
-            let mut cands = cands.into_iter();
-            loop {
-                let batch: Vec<_> =
-                    cands.by_ref().take(parallel::INSERT_BATCH).map(|c| candidate_row(&c)).collect();
-                if batch.is_empty() {
-                    break;
-                }
-                db.insert_rows("Candidates", batch)?;
-            }
-            Ok(())
+            parallel::fill_table(
+                db,
+                "Candidates",
+                workers,
+                &galaxies,
+                |g| scheme.zone_of(g.dec),
+                |db, g| f_bcg_candidate(db, map, kcorr, &scheme, &params, g, early),
+                |c| c.map(|c| candidate_row(&c)),
+            )
         })?;
         Ok(stats)
     }
@@ -229,10 +197,9 @@ impl MaxBcgDb {
         let scheme = self.scheme;
         let params = self.config.params;
         let workers = self.config.workers;
-        let snapshot = self.snapshot.clone();
-        let snap = snapshot.as_deref();
+        let map = self.zone_map.as_deref();
         let (_, stats) = self.db.run_task("fIsCluster", |db| {
-            sp_make_clusters(db, snap, kcorr, &scheme, &params, workers)
+            sp_make_clusters(db, map, kcorr, &scheme, &params, workers)
         })?;
         Ok(stats)
     }
@@ -243,10 +210,9 @@ impl MaxBcgDb {
         let scheme = self.scheme;
         let params = self.config.params;
         let workers = self.config.workers;
-        let snapshot = self.snapshot.clone();
-        let snap = snapshot.as_deref();
+        let map = self.zone_map.as_deref();
         let (_, stats) = self.db.run_task("spMakeGalaxiesMetric", |db| {
-            sp_make_galaxies_metric(db, snap, kcorr, &scheme, &params, workers)
+            sp_make_galaxies_metric(db, map, kcorr, &scheme, &params, workers)
         })?;
         Ok(stats)
     }
@@ -395,24 +361,44 @@ mod tests {
     }
 
     #[test]
-    fn zone_cache_off_produces_identical_catalogs() {
-        let (on, _, _) = run_pipeline(IterationMode::Cursor);
-        assert!(on.zone_snapshot().is_some(), "default config must build the snapshot");
-        for workers in [1, 2] {
-            let config =
-                MaxBcgConfig { zone_cache: false, workers, ..MaxBcgConfig::default() };
-            let kcorr = KcorrTable::generate(config.kcorr);
-            let survey = SkyRegion::new(180.0, 182.2, -1.1, 1.1);
-            let mut sky_cfg = SkyConfig::scaled(0.15);
-            sky_cfg.clusters.density_per_deg2 = 12.0;
-            let sky = Sky::generate(survey, &sky_cfg, &kcorr, 404);
-            let mut db = MaxBcgDb::new(config).unwrap();
-            db.run("nocache", &sky, &survey, &survey.shrunk(0.5)).unwrap();
-            assert!(db.zone_snapshot().is_none(), "cache off must not materialize");
-            assert_eq!(db.candidates().unwrap(), on.candidates().unwrap(), "workers={workers}");
-            assert_eq!(db.clusters().unwrap(), on.clusters().unwrap(), "workers={workers}");
-            assert_eq!(db.members().unwrap(), on.members().unwrap(), "workers={workers}");
-        }
+    fn btree_reference_and_zone_map_give_identical_catalogs() {
+        use crate::candidate::f_bcg_candidate;
+        use crate::cluster::f_is_cluster;
+        use crate::members::f_get_cluster_galaxies;
+        // The pipeline serves every neighbor search from the Zone map;
+        // re-derive each catalog on the clustered-index reference path
+        // (no map) and demand the same bytes, stage by stage.
+        let (db, _, sky) = run_pipeline(IterationMode::Cursor);
+        let map = db.zone_snapshot().expect("spZone takes the Zone map");
+        assert!(Arc::ptr_eq(map, &db.db().zone_map("Zone", 0, 1).unwrap()));
+        let (sdb, kcorr, scheme) = (db.db(), db.kcorr(), db.scheme());
+        let params = MaxBcgConfig::default().params;
+        let target = sky.region.shrunk(0.5);
+        let mut galaxies = Vec::new();
+        sdb.scan_with("Galaxy", |row| {
+            let g = galaxy_from_row(row)?;
+            if target.contains(g.ra, g.dec) {
+                galaxies.push(g);
+            }
+            Ok(true)
+        })
+        .unwrap();
+        let candidates: Vec<Candidate> = galaxies
+            .iter()
+            .filter_map(|g| f_bcg_candidate(sdb, None, kcorr, scheme, &params, g, true).unwrap())
+            .collect();
+        assert!(!candidates.is_empty());
+        assert_eq!(candidates, db.candidates().unwrap());
+        let clusters: Vec<Cluster> = candidates
+            .into_iter()
+            .filter(|c| f_is_cluster(sdb, None, kcorr, scheme, &params, c).unwrap())
+            .collect();
+        assert_eq!(clusters, db.clusters().unwrap());
+        let members: Vec<ClusterMember> = clusters
+            .iter()
+            .flat_map(|c| f_get_cluster_galaxies(sdb, None, kcorr, scheme, &params, c).unwrap())
+            .collect();
+        assert_eq!(members, db.members().unwrap());
     }
 
     #[test]

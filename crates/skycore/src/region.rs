@@ -51,13 +51,6 @@ impl SkyRegion {
         SkyRegion::new(172.0, 185.0, -3.0, 5.0)
     }
 
-    /// The MySkyServerDr1 demo region of the appendix: about 2.5 x 2.5 deg^2
-    /// centered on (195.163, 2.5); the demo runs
-    /// `spMakeCandidates 194, 196, 1.5, 3.5`.
-    pub fn mysky_demo() -> Self {
-        SkyRegion::new(194.0, 196.0, 1.5, 3.5)
-    }
-
     /// Width in RA degrees (coordinate span, not proper length).
     pub fn ra_span(&self) -> f64 {
         self.ra_max - self.ra_min

@@ -219,20 +219,6 @@ impl Column {
         }
     }
 
-    /// Text payload of row `i` as bytes (NULL and non-text return `None`).
-    #[inline]
-    pub fn text_at(&self, i: usize) -> Option<&[u8]> {
-        if self.nulls.is_null(i) {
-            return None;
-        }
-        match &self.data {
-            ColumnData::Text { offsets, bytes } => {
-                Some(&bytes[offsets[i] as usize..offsets[i + 1] as usize])
-            }
-            _ => None,
-        }
-    }
-
     fn gather(&self, sel: &[u32]) -> Column {
         let data = match &self.data {
             ColumnData::BigInt(v) => {

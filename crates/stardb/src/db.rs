@@ -11,11 +11,11 @@ use crate::mvcc::MvccState;
 use crate::page;
 use crate::row::Row;
 use crate::schema::{Column, Schema};
-use crate::expr::Expr;
 use crate::stats::{TableStats, TaskStats};
 use crate::store::{FileStore, MemStore, PageId, PageStore};
 use crate::value::{DataType, Value};
 use crate::wal::{Wal, WalConfig};
+use crate::zonemap::ZoneMap;
 use obs::Unpoison;
 use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
@@ -236,10 +236,10 @@ pub struct Database {
     /// `&Database`.
     last_profile: Mutex<Option<crate::sql::QueryProfile>>,
     /// Zone maps built from full unfiltered scans, one per table, keyed by
-    /// [`Database::table_version`] epochs — stale maps are dropped on
-    /// lookup, so writers never invalidate explicitly. Interior mutability
-    /// because SELECTs run through `&Database`.
-    zonemaps: Mutex<HashMap<String, Arc<crate::zonemap::ZoneMap>>>,
+    /// [`Database::table_version`] epochs — a stale map is replaced by the
+    /// next lookup's rebuild, so writers never invalidate explicitly.
+    /// Interior mutability because SELECTs run through `&Database`.
+    zonemaps: Mutex<HashMap<String, Arc<ZoneMap>>>,
 }
 
 /// Wall time of non-trivial commits (WAL append + fsync for durable
@@ -772,28 +772,56 @@ impl Database {
         })
     }
 
-    /// The cached zone map for `table` at version `epoch`, if one is held.
-    /// A map built at any other version is stale: it is dropped from the
-    /// cache and `None` returned, so callers rebuild and re-store.
-    pub(crate) fn cached_zonemap(
-        &self,
-        table: &str,
-        epoch: u64,
-    ) -> Option<Arc<crate::zonemap::ZoneMap>> {
-        let mut maps = self.zonemaps.lock().unpoison();
-        match maps.get(table) {
-            Some(m) if m.epoch() == epoch => Some(m.clone()),
-            Some(_) => {
-                maps.remove(table);
-                None
-            }
-            None => None,
-        }
+    /// The zone map over `table`'s `(zone_col, ra_col)` columns at the
+    /// table's current [`Database::table_version`]: the cached map when one
+    /// is held at that version over those columns, else one built from a
+    /// full scan and cached in place of any stale map. Writers never
+    /// invalidate explicitly — every mutation moves the version.
+    pub fn zone_map(&self, table: &str, zone_col: usize, ra_col: usize) -> DbResult<Arc<ZoneMap>> {
+        self.zone_map_or(table, (zone_col, ra_col), || self.scan_columns(table))
     }
 
-    /// Cache a zone map built from a full unfiltered scan of `table`.
-    pub(crate) fn store_zonemap(&self, table: &str, map: Arc<crate::zonemap::ZoneMap>) {
-        self.zonemaps.lock().unpoison().insert(table.to_string(), map);
+    /// [`Database::zone_map`] with the rows of a miss supplied by the
+    /// caller: `full_scan` must return the table's full unfiltered scan in
+    /// clustered order (the planner hands over the build side it already
+    /// drained, so a miss moves that batch into the map with no copy).
+    pub(crate) fn zone_map_or(
+        &self,
+        table: &str,
+        cols: (usize, usize),
+        full_scan: impl FnOnce() -> DbResult<ColumnBatch>,
+    ) -> DbResult<Arc<ZoneMap>> {
+        let epoch = self.table_version(table)?;
+        let key = Self::norm(table);
+        if let Some(m) = self.zonemaps.lock().unpoison().get(&key) {
+            if m.epoch() == epoch && m.key_cols() == cols {
+                return Ok(m.clone());
+            }
+        }
+        let m = Arc::new(ZoneMap::from_batch(full_scan()?, cols.0, cols.1, epoch));
+        self.zonemaps.lock().unpoison().insert(key, m.clone());
+        Ok(m)
+    }
+
+    /// The whole table as one column-major batch, in scan order.
+    fn scan_columns(&self, table: &str) -> DbResult<ColumnBatch> {
+        let rows = self.row_count(table)? as usize;
+        let mut scan = self.batch_scan(table)?;
+        let mut out: Option<ColumnBatch> = None;
+        while let Some(chunk) = scan.fetch_columns(self, rows.max(1))? {
+            match &mut out {
+                Some(b) => b.extend_from(&chunk.batch)?,
+                None => out = Some(chunk.batch),
+            }
+        }
+        match out {
+            Some(b) => Ok(b),
+            None => {
+                let dtypes: Vec<DataType> =
+                    self.schema_of(table)?.columns().iter().map(|c| c.dtype).collect();
+                Ok(ColumnBatch::with_capacity(&dtypes, 0))
+            }
+        }
     }
 
     /// Row count.
@@ -1148,23 +1176,6 @@ impl Database {
         Ok(TableStats { rows: self.row_count(name)? })
     }
 
-    /// Scan a table keeping only rows matching `pred` (column positions
-    /// are table positions). Returns the matching rows plus the number of
-    /// rows *examined*, so callers can report how much a pushed-down
-    /// predicate pruned.
-    pub fn scan_filtered(&self, name: &str, pred: &Expr) -> DbResult<(Vec<Row>, u64)> {
-        let mut out = Vec::new();
-        let mut scanned = 0u64;
-        self.scan_with(name, |row| {
-            scanned += 1;
-            if pred.matches(row)? {
-                out.push(row.clone());
-            }
-            Ok(true)
-        })?;
-        Ok((out, scanned))
-    }
-
     /// Open a streaming batched scan over the whole table (clustered
     /// tables in key order, heaps in page order). The scan holds no latch
     /// between batches — like [`Cursor`], each fetch re-descends from the
@@ -1200,19 +1211,6 @@ impl Database {
         })
     }
 
-    /// A `Send + Sync` read-only snapshot handle for concurrent readers.
-    ///
-    /// The returned [`DbReader`] derefs to [`Database`], so every `&self`
-    /// read path — [`Database::get`], [`Database::scan_with`],
-    /// [`Database::range_scan_prefix_raw`], cursors — is available from
-    /// many threads at once; the sharded buffer pool latches per page
-    /// shard underneath. Writes still require `&mut Database`, so the
-    /// borrow checker guarantees no writer coexists with outstanding
-    /// readers: the handle really is a snapshot for its lifetime.
-    pub fn reader(&self) -> DbReader<'_> {
-        DbReader { db: self }
-    }
-
     /// Run a named task, capturing its [`TaskStats`]: wall time of the body
     /// plus the I/O-counter delta it produced. The task ends with a
     /// checkpoint (every dirty page written back), so bulk-writing tasks
@@ -1240,36 +1238,23 @@ impl Database {
     }
 }
 
-/// A shared read-only view of a [`Database`], safe to copy into worker
-/// threads (see [`Database::reader`]). While any `DbReader` is alive the
-/// borrow checker keeps the database immutable, so readers never observe a
-/// write in progress.
-#[derive(Clone, Copy)]
-pub struct DbReader<'a> {
-    db: &'a Database,
-}
-
-impl std::ops::Deref for DbReader<'_> {
-    type Target = Database;
-    fn deref(&self) -> &Database {
-        self.db
-    }
-}
-
-// Compile-time proof that reader handles may cross threads: scoped worker
-// pools (maxbcg's candidate fan-out) rely on it.
+// Compile-time proof that `&Database` may cross threads: every `&self`
+// read path runs from many threads at once (the sharded buffer pool
+// latches per page shard underneath), and maxbcg's scoped worker pools
+// rely on it. Writes need `&mut Database`, so the borrow checker keeps
+// writers away from outstanding readers.
 const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<DbReader<'static>>();
+    const fn assert_sync<T: Sync>() {}
+    assert_sync::<Database>();
 };
 
 /// An owned, pinned view of one committed transaction (see
-/// [`Database::snapshot`]). Unlike [`DbReader`], which borrows the database
-/// and therefore excludes writers, a `DbSnapshot` holds no borrow: a writer
-/// may insert and commit concurrently, and the snapshot keeps serving the
-/// rows of the epoch it pinned. Page reads resolve through the MVCC version
-/// table; dropping the snapshot releases the pin so the watermark GC can
-/// reclaim superseded versions.
+/// [`Database::snapshot`]). Unlike a `&Database`, whose borrow excludes
+/// writers, a `DbSnapshot` holds no borrow: a writer may insert and commit
+/// concurrently, and the snapshot keeps serving the rows of the epoch it
+/// pinned. Page reads resolve through the MVCC version table; dropping the
+/// snapshot releases the pin so the watermark GC can reclaim superseded
+/// versions.
 pub struct DbSnapshot {
     pool: Arc<BufferPool>,
     mvcc: Arc<MvccState>,
@@ -1889,7 +1874,7 @@ mod tests {
             d.insert("galaxy", g(id, 180.0 + id as f64 * 0.01, 0.0, (id % 9) as f32))
                 .unwrap();
         }
-        let reader = d.reader();
+        let reader = &d;
         std::thread::scope(|scope| {
             for t in 0..4i64 {
                 scope.spawn(move || {

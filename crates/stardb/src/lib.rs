@@ -38,7 +38,7 @@ pub mod sql;
 pub mod stats;
 pub mod zonemap;
 
-pub use db::{BatchScan, ColChunk, Cursor, Database, DbConfig, DbReader, DbSnapshot};
+pub use db::{BatchScan, ColChunk, Cursor, Database, DbConfig, DbSnapshot};
 pub use expr::{BinOp, Expr, Func};
 pub use sql::{
     zone_band_halo, zonejoin_halo_rows, JoinProfile, OpProfile, PlanOptions, PlanProfile,

@@ -356,13 +356,15 @@ fn build<'p>(db: &Database, plan: &'p SelectPlan, profiled: bool) -> DbResult<Op
                 batch: right,
                 on: Some((*on).clone()),
             },
-            JoinStrategy::Zone { spec, on } => VRightSide::Zone {
-                map: zone_map_for(db, &join.right, spec, &right)?,
-                rows: right.to_rows(),
-                batch: right,
-                spec: spec.clone(),
-                on: (*on).clone(),
-            },
+            JoinStrategy::Zone { spec, on } => {
+                let map = zone_map_for(db, &join.right, spec, right)?;
+                VRightSide::Zone {
+                    rows: map.batch().to_rows(),
+                    map,
+                    spec: spec.clone(),
+                    on: (*on).clone(),
+                }
+            }
             JoinStrategy::Cross => VRightSide::Loop { rows: Vec::new(), batch: right, on: None },
         };
         dtypes.extend(right_dtypes);
@@ -486,34 +488,26 @@ fn drain_columns(
     Ok((out, prof))
 }
 
-/// Resolve the zone map for a join build side: served from the
-/// per-database cache when the build side is a full unfiltered table scan
-/// (any other access path or pushed predicate reorders or thins the
-/// drained rows, so its ordinals would not transfer) at a still-current
-/// `table_version`, rebuilt — and re-cached when eligible — otherwise.
-/// Either way the map's ordinals index the drained build rows in scan
-/// order.
+/// Resolve the zone map for a join build side, taking ownership of the
+/// drained rows: the database's cached map when the build side is a full
+/// unfiltered table scan (any other access path or pushed predicate
+/// reorders or thins the drained rows, so its ordinals would not
+/// transfer) — on a miss the drained batch becomes that cached map —
+/// else a map private to this join. Either way the map's ordinals index
+/// rows identical to the drained ones, in scan order.
 fn zone_map_for(
     db: &Database,
     node: &ScanNode,
     spec: &ZoneJoinSpec,
-    right: &ColumnBatch,
+    right: ColumnBatch,
 ) -> DbResult<Arc<ZoneMap>> {
     zonejoin_counters(); // register the family even if adds stay zero
+    let cols = (spec.right_zone, spec.right_ra);
+    if matches!(node.access, Access::Full) && node.pred.is_none() {
+        return db.zone_map_or(&node.table, cols, || Ok(right));
+    }
     let epoch = db.table_version(&node.table)?;
-    let cacheable = matches!(node.access, Access::Full) && node.pred.is_none();
-    if cacheable {
-        if let Some(m) = db.cached_zonemap(&node.table, epoch) {
-            if m.key_cols() == (spec.right_zone, spec.right_ra) {
-                return Ok(m);
-            }
-        }
-    }
-    let m = Arc::new(ZoneMap::from_batch(right, spec.right_zone, spec.right_ra, epoch));
-    if cacheable {
-        db.store_zonemap(&node.table, m.clone());
-    }
-    Ok(m)
+    Ok(Arc::new(ZoneMap::from_batch(right, cols.0, cols.1, epoch)))
 }
 
 /// The probe window one left row opens in the zone map: the zone band
@@ -1033,8 +1027,9 @@ enum VRightSide {
     Loop { batch: ColumnBatch, rows: Vec<Row>, on: Option<Expr> },
     /// Zone join: [`ZoneMap`] candidate probe, candidates restored to
     /// build order, full ON re-evaluated per pair — identical output to
-    /// `Loop` over the same rows, strictly fewer pairs evaluated.
-    Zone { batch: ColumnBatch, rows: Vec<Row>, map: Arc<ZoneMap>, spec: ZoneJoinSpec, on: Expr },
+    /// `Loop` over the same rows, strictly fewer pairs evaluated. Output
+    /// gathers the right columns from the map's own batch.
+    Zone { rows: Vec<Row>, map: Arc<ZoneMap>, spec: ZoneJoinSpec, on: Expr },
 }
 
 struct VJoinExec {
@@ -1063,7 +1058,7 @@ impl VJoinExec {
                 exec::hash_join_rows().add(out.len() as u64);
                 Ok(Some(out))
             }
-            VRightSide::Zone { batch: right, rows, map, spec, on } => {
+            VRightSide::Zone { rows, map, spec, on } => {
                 let c = zonejoin_counters();
                 c.probes.add(batch.len() as u64);
                 if profiled {
@@ -1109,7 +1104,7 @@ impl VJoinExec {
                         }
                     }
                 }
-                Ok(Some(ColumnBatch::concat_gather(&batch, &li, right, &ri)))
+                Ok(Some(ColumnBatch::concat_gather(&batch, &li, map.batch(), &ri)))
             }
             VRightSide::Loop { batch: right, rows, on } => {
                 let n = right.len();

@@ -181,9 +181,9 @@ fn three_way_partition_chaos_preserves_figure6_identity() {
 
 #[test]
 fn stale_zone_snapshot_falls_back_identically_after_a_rezone() {
-    // Chaos failover re-runs spZone on every attempt, so any columnar zone
-    // snapshot captured before a fault is stale by epoch. The neighbor
-    // kernel must detect that, take the clustered-index path, count the
+    // Chaos failover re-runs spZone on every attempt, so any Zone map
+    // captured before a fault is stale by version. The neighbor kernel
+    // must detect that, take the clustered-index path, count the
     // fallback — and change nothing about the answer.
     let config = MaxBcgConfig { iteration: IterationMode::SetBased, ..Default::default() };
     let kcorr = KcorrTable::generate(config.kcorr);
@@ -192,9 +192,13 @@ fn stale_zone_snapshot_falls_back_identically_after_a_rezone() {
     let mut db = MaxBcgDb::new(config).unwrap();
     db.run("stale-drill", &sky, &survey, &survey.shrunk(0.25)).unwrap();
 
-    let stale = db.zone_snapshot().expect("zone cache on by default").clone();
-    db.make_zone().unwrap(); // the failover path: truncate + refill moves the epoch
-    assert!(!stale.is_fresh(db.db()), "re-running spZone must invalidate the snapshot");
+    let stale = db.zone_snapshot().expect("spZone takes the Zone map").clone();
+    db.make_zone().unwrap(); // the failover path: truncate + refill moves the version
+    assert_ne!(
+        db.db().table_version("Zone").unwrap(),
+        stale.epoch(),
+        "re-running spZone must invalidate the map"
+    );
 
     let fallbacks = obs::counter("maxbcg.zonecache.fallbacks");
     let fallbacks_0 = fallbacks.get();
@@ -217,7 +221,7 @@ fn stale_zone_snapshot_falls_back_identically_after_a_rezone() {
     assert!(searched > 5, "need a meaningful sample");
     assert!(
         fallbacks.get() >= fallbacks_0 + searched,
-        "every stale-snapshot search must count a fallback"
+        "every stale-map search must count a fallback"
     );
 }
 

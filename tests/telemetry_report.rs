@@ -175,7 +175,7 @@ const REQUIRED_COUNTERS: &[&str] = &[
     "maxbcg.neighbors.searches",
     "maxbcg.neighbors.pairs_examined",
     "maxbcg.catalog.galaxies",
-    "maxbcg.zonecache.builds",
+    "stardb.zonemap.builds",
     "maxbcg.zonecache.hits",
     "stardb.wal.appends",
     "stardb.wal.fsyncs",
