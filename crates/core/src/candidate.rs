@@ -1,15 +1,15 @@
 //! `fBCGCandidate`: the per-galaxy likelihood evaluation, database style —
 //! the χ² filter as a k-correction join, one zone-indexed neighbor search
 //! bounded by the windows of the passing redshifts, and the neighbor join
-//! back to `Galaxy` for photometry.
+//! back to `Galaxy` for photometry, read from the table's cached columns.
 
-use crate::import::galaxy_from_payload;
+use crate::import::GalaxyColumns;
 use crate::neighbors::visit_nearby_with;
 use skycore::bcg::{self, BcgParams, PassingRedshift};
 use skycore::kcorr::KcorrTable;
 use skycore::types::{Candidate, Friend, Galaxy};
 use skycore::ZoneScheme;
-use stardb::{Database, DbError, DbResult, Value, ZoneMap};
+use stardb::{Database, DbError, DbResult, ZoneMap};
 use std::sync::OnceLock;
 
 struct CandidateObs {
@@ -74,35 +74,22 @@ pub fn f_bcg_candidate(
     };
 
     // Look for neighbors in the Zone table, then join with Galaxy for
-    // photometry and apply the bounding windows.
+    // photometry and apply the bounding windows. The join reads the
+    // table's cached columns, fetched only now that the galaxy has passed
+    // the χ² filter.
+    let batch = db.table_columns("Galaxy")?;
+    let galaxy = GalaxyColumns::of(db, &batch)?;
     let mut friends: Vec<Friend> = Vec::new();
-    let mut join_err: Option<DbError> = None;
     visit_nearby_with(db, map, scheme, g.ra, g.dec, windows.radius_deg, |objid, distance, _| {
-        if objid == g.objid {
-            return true;
-        }
-        match db.get("Galaxy", &[Value::BigInt(objid)]) {
-            Ok(Some(row)) => {
-                let n = galaxy_from_payload(&row.encode());
-                let f = Friend { objid, distance, i: n.i, gr: n.gr, ri: n.ri };
-                if windows.admits(&f) {
-                    friends.push(f);
-                }
-                true
-            }
-            // Zone rows always reference Galaxy rows; a miss would mean
-            // the zone table is stale, which insert/truncate discipline
-            // prevents — but surface it rather than ignore it.
-            Ok(None) => true,
-            Err(e) => {
-                join_err = Some(e);
-                false
+        // A Zone objid with no Galaxy row (a Zone table stale against
+        // Galaxy) joins nothing and is skipped, as the SQL join would.
+        if objid != g.objid {
+            if let Some(f) = galaxy.friend(objid, distance).filter(|f| windows.admits(f)) {
+                friends.push(f);
             }
         }
+        true
     })?;
-    if let Some(e) = join_err {
-        return Err(e);
-    }
     cobs().friends_joined.add(friends.len() as u64);
 
     // Count neighbors per redshift and pick the most likely.
@@ -145,13 +132,13 @@ pub fn f_bcg_candidate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::import::sp_import_galaxy;
+    use crate::import::{galaxy_from_row, sp_import_galaxy};
     use crate::schema::create_schema;
     use crate::zone_task::sp_zone;
     use skycore::kcorr::KcorrConfig;
     use skycore::SkyRegion;
     use skysim::{Sky, SkyConfig};
-    use stardb::DbConfig;
+    use stardb::{DbConfig, Value};
 
     fn setup() -> (Database, Sky, KcorrTable, ZoneScheme) {
         let kcorr = KcorrTable::generate(KcorrConfig::sql());
@@ -171,7 +158,7 @@ mod tests {
     /// Galaxies as the database sees them (real-rounded photometry).
     fn db_galaxy(db: &Database, objid: i64) -> Galaxy {
         let row = db.get("Galaxy", &[Value::BigInt(objid)]).unwrap().unwrap();
-        galaxy_from_payload(&row.encode())
+        galaxy_from_row(&row).unwrap()
     }
 
     #[test]

@@ -4,14 +4,16 @@
 //! A candidate is a cluster center when it carries the maximum likelihood
 //! among all candidates within `radius(z)` degrees and `|Δz| <= 0.05` —
 //! found, as in the paper, by running the zone neighborhood search over the
-//! galaxy Zone table and joining the hits against `Candidates`.
+//! galaxy Zone table and joining the hits against `Candidates` (read from
+//! the table's cached columns).
 
 use crate::neighbors::visit_nearby_with;
 use skycore::bcg::{self, BcgParams};
 use skycore::kcorr::KcorrTable;
 use skycore::types::Candidate;
 use skycore::ZoneScheme;
-use stardb::{Database, DbResult, Row, Value, ZoneMap};
+use stardb::colbatch::ColumnBatch;
+use stardb::{Database, DbError, DbResult, Row, Value, ZoneMap};
 
 /// Decode a `Candidates`/`Clusters` row.
 pub fn candidate_from_row(row: &Row) -> DbResult<Candidate> {
@@ -39,6 +41,41 @@ pub fn candidate_row(c: &Candidate) -> Row {
     ])
 }
 
+/// The `Candidates` columns `fIsCluster` reads, borrowed from the table's
+/// cached batch ([`Database::table_columns`]): `objid` ascending (the
+/// clustered key), so joining a neighbor is one binary search.
+pub(crate) struct CandidateColumns<'b> {
+    objid: &'b [i64],
+    z: &'b [f64],
+    chi2: &'b [f64],
+}
+
+impl<'b> CandidateColumns<'b> {
+    /// View `batch`, the `Candidates` table of `db`; `DbError::Corrupt`
+    /// when the table's layout is not the schema's (wrong arity or types,
+    /// a NULL, or a clustered key other than `objid`).
+    pub(crate) fn of(db: &Database, batch: &'b ColumnBatch) -> DbResult<CandidateColumns<'b>> {
+        let keyed_on_objid = db.clustered_key_cols("Candidates")? == [0];
+        let view = || {
+            Some(CandidateColumns {
+                objid: batch.col(0).dense_bigints()?,
+                z: batch.col(3).dense_floats()?,
+                chi2: batch.col(6).dense_floats()?,
+            })
+        };
+        (keyed_on_objid && batch.num_cols() == 7).then(view).flatten().ok_or_else(|| {
+            DbError::Corrupt("Candidates table layout differs from its schema".into())
+        })
+    }
+
+    /// `(z, chi2)` of candidate `objid`; `None` when the galaxy is not a
+    /// candidate.
+    pub(crate) fn z_chi2(&self, objid: i64) -> Option<(f64, f64)> {
+        let r = self.objid.binary_search(&objid).ok()?;
+        Some((self.z[r], self.chi2[r]))
+    }
+}
+
 /// `fIsCluster`: is this candidate the best in its neighborhood?
 ///
 /// `map` is the optional Zone-table zone map; fresh → map-served search,
@@ -52,29 +89,18 @@ pub fn f_is_cluster(
     c: &Candidate,
 ) -> DbResult<bool> {
     let rad = kcorr.nearest(c.z).radius;
+    let batch = db.table_columns("Candidates")?;
+    let candidates = CandidateColumns::of(db, &batch)?;
     let mut best = f64::NEG_INFINITY;
-    let mut join_err: Option<stardb::DbError> = None;
     visit_nearby_with(db, map, scheme, c.ra, c.dec, rad, |objid, _distance, _| {
-        match db.get("Candidates", &[Value::BigInt(objid)]) {
-            Ok(Some(row)) => {
-                // Only the z and chi2 columns matter for the max.
-                let z = row.f64(3).unwrap_or(f64::NAN);
-                let chi2 = row.f64(6).unwrap_or(f64::NEG_INFINITY);
-                if (z - c.z).abs() <= params.z_window {
-                    best = best.max(chi2);
-                }
-                true
-            }
-            Ok(None) => true, // a galaxy that is not a candidate
-            Err(e) => {
-                join_err = Some(e);
-                false
+        // Most neighbors are galaxies that are not candidates: no row.
+        if let Some((z, chi2)) = candidates.z_chi2(objid) {
+            if (z - c.z).abs() <= params.z_window {
+                best = best.max(chi2);
             }
         }
+        true
     })?;
-    if let Some(e) = join_err {
-        return Err(e);
-    }
     Ok(bcg::is_cluster_center(c.chi2, best, params))
 }
 
@@ -94,13 +120,15 @@ pub fn sp_make_clusters(
     workers: usize,
 ) -> DbResult<u64> {
     db.truncate("Clusters")?;
-    // Materialize the candidate list first (the scan must not alias the
-    // inserts); candidate counts are ~3% of galaxies, so this is small.
-    let mut candidates = Vec::new();
-    db.scan_with("Candidates", |row| {
-        candidates.push(candidate_from_row(row)?);
-        Ok(true)
-    })?;
+    // One read of `Candidates` builds the column cache every worker's
+    // neighbor join reads, before the workers fan out, and yields the
+    // input list (the table is ~3% of galaxies, so this is small).
+    let candidates = db
+        .table_columns("Candidates")?
+        .to_rows()
+        .iter()
+        .map(candidate_from_row)
+        .collect::<DbResult<Vec<_>>>()?;
     crate::parallel::fill_table(
         db,
         "Clusters",
@@ -171,6 +199,30 @@ mod tests {
         cands[1].z = 0.30;
         db.insert("Candidates", candidate_row(&cands[1])).unwrap();
         assert!(f_is_cluster(&db, None, &kcorr, &scheme, &p, &cands[1]).unwrap());
+    }
+
+    #[test]
+    fn a_wrong_typed_candidates_table_is_an_error_not_another_answer() {
+        use crate::schema::candidates_schema;
+        use stardb::{Column, DataType, Schema};
+        let (mut db, kcorr, scheme, cands) = setup();
+        let p = BcgParams::default();
+        // The same table with `z` stored as text: the join cannot read a
+        // redshift, so no neighbor may silently drop out of the max.
+        let mut cols = candidates_schema().columns().to_vec();
+        cols[3] = Column::new("z", DataType::Text);
+        db.drop_table("Candidates").unwrap();
+        db.create_clustered_table("Candidates", Schema::new(cols), &["objid"]).unwrap();
+        for c in &cands {
+            let mut row = candidate_row(c);
+            row.0[3] = Value::Text(c.z.to_string());
+            db.insert("Candidates", row).unwrap();
+        }
+        // Skipping unreadable rows would drop every candidate's own row
+        // from its neighborhood and quietly yield an empty cluster set.
+        let err = f_is_cluster(&db, None, &kcorr, &scheme, &p, &cands[0]).unwrap_err();
+        assert!(matches!(err, DbError::Corrupt(_)), "{err}");
+        assert!(sp_make_clusters(&mut db, None, &kcorr, &scheme, &p, 2).is_err());
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! `spImportGalaxy`: pull the region of interest out of the archive
 //! catalog into the local `Galaxy` table, deriving the color-error model.
 
-use skycore::types::{sigma_gr, sigma_ri, Galaxy};
+use skycore::types::{sigma_gr, sigma_ri, Friend, Galaxy};
 use skycore::SkyRegion;
 use skysim::Sky;
-use stardb::{Database, DbResult, Row, Value};
+use stardb::colbatch::ColumnBatch;
+use stardb::{Database, DbError, DbResult, Row, Value};
 
 /// Truncate `Galaxy` and import every catalog galaxy inside the window,
 /// computing `sigmagr`/`sigmari` exactly as the paper's stored procedure
@@ -72,6 +73,52 @@ pub fn galaxy_from_payload(p: &[u8]) -> Galaxy {
         ri: f64::from(f32_at(p, 38)),
         sigma_gr: f64::from(f32_at(p, 43)),
         sigma_ri: f64::from(f32_at(p, 48)),
+    }
+}
+
+/// The `Galaxy` columns the neighbor joins read, borrowed from the
+/// table's cached batch ([`Database::table_columns`]): `objid` ascending
+/// (the clustered key), photometry as stored. A neighbor's row is one
+/// binary search, its photometry three column reads.
+pub(crate) struct GalaxyColumns<'b> {
+    objid: &'b [i64],
+    i: &'b [f32],
+    gr: &'b [f32],
+    ri: &'b [f32],
+}
+
+impl<'b> GalaxyColumns<'b> {
+    /// View `batch`, the `Galaxy` table of `db`; `DbError::Corrupt` when
+    /// the table's layout is not the schema's (wrong arity or types, a
+    /// NULL, or a clustered key other than `objid`).
+    pub(crate) fn of(db: &Database, batch: &'b ColumnBatch) -> DbResult<GalaxyColumns<'b>> {
+        let keyed_on_objid = db.clustered_key_cols("Galaxy")? == [0];
+        let view = || {
+            Some(GalaxyColumns {
+                objid: batch.col(0).dense_bigints()?,
+                i: batch.col(3).dense_reals()?,
+                gr: batch.col(4).dense_reals()?,
+                ri: batch.col(5).dense_reals()?,
+            })
+        };
+        (keyed_on_objid && batch.num_cols() == 8)
+            .then(view)
+            .flatten()
+            .ok_or_else(|| DbError::Corrupt("Galaxy table layout differs from its schema".into()))
+    }
+
+    /// The stored photometry of galaxy `objid` as a friend at `distance`
+    /// (widened exactly as [`galaxy_from_payload`] widens); `None` when
+    /// the table holds no such galaxy.
+    pub(crate) fn friend(&self, objid: i64, distance: f64) -> Option<Friend> {
+        let r = self.objid.binary_search(&objid).ok()?;
+        Some(Friend {
+            objid,
+            distance,
+            i: f64::from(self.i[r]),
+            gr: f64::from(self.gr[r]),
+            ri: f64::from(self.ri[r]),
+        })
     }
 }
 

@@ -4,11 +4,11 @@
 //! magnitude and ridge-line color windows at the cluster redshift.
 
 use crate::cluster::candidate_from_row;
-use crate::import::galaxy_from_payload;
+use crate::import::GalaxyColumns;
 use crate::neighbors::visit_nearby_with;
 use skycore::bcg::{self, BcgParams};
 use skycore::kcorr::KcorrTable;
-use skycore::types::{Cluster, ClusterMember, Friend};
+use skycore::types::{Cluster, ClusterMember};
 use skycore::ZoneScheme;
 use stardb::{Database, DbResult, Row, Value, ZoneMap};
 
@@ -33,35 +33,18 @@ pub fn f_get_cluster_galaxies(
         galaxy_objid: cluster.objid,
         distance: 0.0,
     }];
-    let mut join_err: Option<stardb::DbError> = None;
-    visit_nearby_with(db, map, scheme, cluster.ra, cluster.dec, w.radius_deg, |objid, distance, _| {
-        if objid == cluster.objid {
-            return true;
+    let batch = db.table_columns("Galaxy")?;
+    let galaxy = GalaxyColumns::of(db, &batch)?;
+    let (ra, dec) = (cluster.ra, cluster.dec);
+    visit_nearby_with(db, map, scheme, ra, dec, w.radius_deg, |galaxy_objid, distance, _| {
+        if galaxy_objid != cluster.objid
+            && galaxy.friend(galaxy_objid, distance).is_some_and(|f| w.admits(&f))
+        {
+            members.push(ClusterMember { cluster_objid: cluster.objid, galaxy_objid, distance });
         }
-        match db.get("Galaxy", &[Value::BigInt(objid)]) {
-            Ok(Some(row)) => {
-                let g = galaxy_from_payload(&row.encode());
-                let f = Friend { objid, distance, i: g.i, gr: g.gr, ri: g.ri };
-                if w.admits(&f) {
-                    members.push(ClusterMember {
-                        cluster_objid: cluster.objid,
-                        galaxy_objid: objid,
-                        distance,
-                    });
-                }
-                true
-            }
-            Ok(None) => true,
-            Err(e) => {
-                join_err = Some(e);
-                false
-            }
-        }
+        true
     })?;
-    match join_err {
-        Some(e) => Err(e),
-        None => Ok(members),
-    }
+    Ok(members)
 }
 
 /// `spMakeGalaxiesMetric`: loop over `Clusters` (a cursor in the paper)
@@ -87,6 +70,8 @@ pub fn sp_make_galaxies_metric(
         clusters.push(candidate_from_row(row)?);
         Ok(true)
     })?;
+    // Build the Galaxy column cache once, before the workers fan out.
+    db.table_columns("Galaxy")?;
     crate::parallel::fill_table(
         db,
         "ClusterGalaxiesMetric",

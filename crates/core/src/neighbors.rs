@@ -120,9 +120,8 @@ pub fn nearby_obj_eq_zd(
 ///
 /// Hits are buffered one zone at a time and `visit` runs *after* each
 /// zone's index scan completes, so the callback is free to query the
-/// database again (the `JOIN Galaxy` / `JOIN Candidates` of the paper's
-/// functions) — index scans themselves hold the buffer-pool latch and must
-/// not re-enter the engine.
+/// database again — index scans themselves hold the buffer-pool latch and
+/// must not re-enter the engine.
 pub fn visit_nearby(
     db: &Database,
     scheme: &ZoneScheme,

@@ -164,6 +164,33 @@ impl Column {
         self.nulls.is_null(i)
     }
 
+    /// The values of a NULL-free `bigint` column; `None` for any other
+    /// type or when a cell is NULL.
+    pub fn dense_bigints(&self) -> Option<&[i64]> {
+        match &self.data {
+            ColumnData::BigInt(v) if !self.nulls.any() => Some(v),
+            _ => None,
+        }
+    }
+
+    /// The values of a NULL-free `real` column (see
+    /// [`Column::dense_bigints`]).
+    pub fn dense_reals(&self) -> Option<&[f32]> {
+        match &self.data {
+            ColumnData::Real(v) if !self.nulls.any() => Some(v),
+            _ => None,
+        }
+    }
+
+    /// The values of a NULL-free `float` column (see
+    /// [`Column::dense_bigints`]).
+    pub fn dense_floats(&self) -> Option<&[f64]> {
+        match &self.data {
+            ColumnData::Float(v) if !self.nulls.any() => Some(v),
+            _ => None,
+        }
+    }
+
     #[inline]
     fn push_null(&mut self) {
         match &mut self.data {
@@ -1012,6 +1039,19 @@ mod tests {
         all.extend_from(&picked).unwrap();
         assert_eq!(all.len(), 5);
         assert_eq!(all.row(3).encode(), rows()[2].encode());
+    }
+
+    #[test]
+    fn dense_slices_only_for_their_type_and_no_nulls() {
+        let with_nulls = ColumnBatch::from_rows(&dtypes(), &rows()).unwrap();
+        assert!(with_nulls.col(0).dense_bigints().is_none(), "a NULL cell");
+        let dense = with_nulls.gather(&[0, 2]);
+        assert_eq!(dense.col(0).dense_bigints(), Some(&[i64::MAX, -42][..]));
+        assert_eq!(dense.col(3).dense_floats().map(<[f64]>::len), Some(2));
+        assert_eq!(dense.col(2).dense_reals().map(<[f32]>::len), Some(2));
+        // Another type is never reinterpreted.
+        assert!(dense.col(2).dense_floats().is_none());
+        assert!(dense.col(1).dense_bigints().is_none());
     }
 
     #[test]

@@ -77,10 +77,10 @@ struct Table {
     indexes: Vec<SecondaryIndex>,
     /// Mutation epoch: stamped from the database-wide monotonic counter on
     /// every data change (insert/delete/truncate and table creation).
-    /// Derived read-optimized structures (the zone snapshot cache) record
-    /// the epoch they were built at and treat any difference as stale.
-    /// Epochs are never reused, so a drop + recreate cannot alias an old
-    /// snapshot onto a new table.
+    /// Derived read-optimized structures (the column cache and its zone
+    /// maps) record the version they were built at and treat any
+    /// difference as stale. Epochs are never reused, so a drop + recreate
+    /// cannot alias an old cache entry onto a new table.
     epoch: u64,
     /// Epoch of the last [`Database::commit`] that included a mutation of
     /// this table (0 before the first). Commit epochs draw from the same
@@ -235,11 +235,22 @@ pub struct Database {
     /// unprofiled SELECT. Interior mutability because SELECTs run through
     /// `&Database`.
     last_profile: Mutex<Option<crate::sql::QueryProfile>>,
-    /// Zone maps built from full unfiltered scans, one per table, keyed by
-    /// [`Database::table_version`] epochs — a stale map is replaced by the
-    /// next lookup's rebuild, so writers never invalidate explicitly.
-    /// Interior mutability because SELECTs run through `&Database`.
-    zonemaps: Mutex<HashMap<String, Arc<ZoneMap>>>,
+    /// The column cache: per table, its full scan as one batch plus the
+    /// zone map built over that batch, valid at one
+    /// [`Database::table_version`] — a stale slot is replaced by the next
+    /// lookup's rebuild, so writers never invalidate explicitly. Interior
+    /// mutability because SELECTs run through `&Database`.
+    columns: Mutex<HashMap<String, ColumnSlot>>,
+}
+
+/// One table's entry in the column cache (see [`Database::table_columns`]).
+struct ColumnSlot {
+    /// The [`Database::table_version`] both structures were built at.
+    version: u64,
+    /// The whole table in clustered-key (scan) order.
+    batch: Arc<ColumnBatch>,
+    /// The zone map over `batch`, once a caller has asked for one.
+    zone_map: Option<Arc<ZoneMap>>,
 }
 
 /// Wall time of non-trivial commits (WAL append + fsync for durable
@@ -272,7 +283,7 @@ impl Database {
             catalog_dirty: false,
             last_catalog: Vec::new(),
             last_profile: Mutex::new(None),
-            zonemaps: Mutex::new(HashMap::new()),
+            columns: Mutex::new(HashMap::new()),
         }
     }
 
@@ -308,7 +319,7 @@ impl Database {
             catalog_dirty: false,
             last_catalog: Vec::new(),
             last_profile: Mutex::new(None),
-            zonemaps: Mutex::new(HashMap::new()),
+            columns: Mutex::new(HashMap::new()),
         };
         if let Some(bytes) = recovery.catalog {
             db.decode_catalog(&bytes)?;
@@ -772,35 +783,72 @@ impl Database {
         })
     }
 
-    /// The zone map over `table`'s `(zone_col, ra_col)` columns at the
-    /// table's current [`Database::table_version`]: the cached map when one
-    /// is held at that version over those columns, else one built from a
-    /// full scan and cached in place of any stale map. Writers never
+    /// The whole of `table` as one column batch, in scan order (clustered
+    /// tables in key order: for a single integer key the key column is
+    /// ascending, so a row is found by binary search), at the table's
+    /// current [`Database::table_version`]. A lookup at the cached version
+    /// returns the same `Arc`; a miss builds the batch from a full scan and
+    /// replaces the stale slot, zone map included. Writers never
     /// invalidate explicitly — every mutation moves the version.
+    pub fn table_columns(&self, table: &str) -> DbResult<Arc<ColumnBatch>> {
+        Ok(self.column_slot(table, || self.scan_columns(table))?.1)
+    }
+
+    /// The zone map over `table`'s `(zone_col, ra_col)` columns at the
+    /// table's current [`Database::table_version`], built over (and
+    /// sharing) the [`Database::table_columns`] batch: the cached map when
+    /// one is held at that version over those columns, else a new one,
+    /// which replaces any map over other columns.
     pub fn zone_map(&self, table: &str, zone_col: usize, ra_col: usize) -> DbResult<Arc<ZoneMap>> {
         self.zone_map_or(table, (zone_col, ra_col), || self.scan_columns(table))
     }
 
-    /// [`Database::zone_map`] with the rows of a miss supplied by the
-    /// caller: `full_scan` must return the table's full unfiltered scan in
-    /// clustered order (the planner hands over the build side it already
-    /// drained, so a miss moves that batch into the map with no copy).
+    /// [`Database::zone_map`] with the rows of a cache miss supplied by
+    /// the caller: `full_scan` must return the table's full unfiltered
+    /// scan in clustered order (the planner hands over the build side it
+    /// already drained, so a miss moves that batch into the cache with no
+    /// copy).
     pub(crate) fn zone_map_or(
         &self,
         table: &str,
         cols: (usize, usize),
         full_scan: impl FnOnce() -> DbResult<ColumnBatch>,
     ) -> DbResult<Arc<ZoneMap>> {
-        let epoch = self.table_version(table)?;
-        let key = Self::norm(table);
-        if let Some(m) = self.zonemaps.lock().unpoison().get(&key) {
-            if m.epoch() == epoch && m.key_cols() == cols {
-                return Ok(m.clone());
+        let (version, batch, map) = self.column_slot(table, full_scan)?;
+        if let Some(m) = map.filter(|m| m.key_cols() == cols) {
+            return Ok(m);
+        }
+        let m = Arc::new(ZoneMap::from_batch(batch.clone(), cols.0, cols.1, version));
+        if let Some(slot) = self.columns.lock().unpoison().get_mut(&Self::norm(table)) {
+            // Attach only to the batch the map indexes (a concurrent miss
+            // may have swapped the slot meanwhile).
+            if Arc::ptr_eq(&slot.batch, &batch) {
+                slot.zone_map = Some(m.clone());
             }
         }
-        let m = Arc::new(ZoneMap::from_batch(full_scan()?, cols.0, cols.1, epoch));
-        self.zonemaps.lock().unpoison().insert(key, m.clone());
         Ok(m)
+    }
+
+    /// The column-cache slot of `table` at its current version: its
+    /// version, batch and zone map (if built), with the batch taken from
+    /// `full_scan` on a miss. Builds run outside the lock, so a reader of
+    /// another table never waits on a scan.
+    fn column_slot(
+        &self,
+        table: &str,
+        full_scan: impl FnOnce() -> DbResult<ColumnBatch>,
+    ) -> DbResult<(u64, Arc<ColumnBatch>, Option<Arc<ZoneMap>>)> {
+        let version = self.table_version(table)?;
+        let key = Self::norm(table);
+        if let Some(s) = self.columns.lock().unpoison().get(&key) {
+            if s.version == version {
+                return Ok((version, s.batch.clone(), s.zone_map.clone()));
+            }
+        }
+        let batch = Arc::new(full_scan()?);
+        let slot = ColumnSlot { version, batch: batch.clone(), zone_map: None };
+        self.columns.lock().unpoison().insert(key, slot);
+        Ok((version, batch, None))
     }
 
     /// The whole table as one column-major batch, in scan order.
@@ -1146,10 +1194,8 @@ impl Database {
     }
 
     /// Bulk extraction: stream every raw row payload of a clustered table
-    /// in clustered-key order; return `false` to stop early. This is the
-    /// snapshot-build path — one sequential pass, no per-row decode by the
-    /// engine, so read-optimized caches (the zone snapshot) can be
-    /// materialized at memory speed.
+    /// in clustered-key order; return `false` to stop early — one
+    /// sequential pass, no per-row decode by the engine.
     ///
     /// `visit` runs under the buffer-pool latch and must not re-enter the
     /// database (see [`Database::scan_with`]).
@@ -1966,6 +2012,53 @@ mod tests {
         // Heaps have no clustered payload stream.
         d.create_table("h", galaxy_schema()).unwrap();
         assert!(d.scan_raw("h", |_| true).is_err());
+    }
+
+    #[test]
+    fn table_columns_are_cached_per_version_in_key_order() {
+        let mut d = db();
+        d.create_clustered_table("galaxy", galaxy_schema(), &["objid"]).unwrap();
+        // Scrambled inserts, negative keys included: the key encoding
+        // orders them numerically, so the batch's key column ascends.
+        for k in 0..500i64 {
+            let objid = (k * 7919) % 500 - 250;
+            d.insert("galaxy", g(objid, 180.0 + k as f64 * 1e-3, 0.0, 18.0)).unwrap();
+        }
+        let first = d.table_columns("galaxy").unwrap();
+        let again = d.table_columns("GALAXY").unwrap();
+        assert!(Arc::ptr_eq(&first, &again), "same version: the cached batch");
+        let keys = first.col(0).dense_bigints().unwrap();
+        assert_eq!(keys.len(), 500);
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "key column ascends");
+        assert_eq!((keys[0], keys[499]), (-250, 249));
+        assert_eq!(first.to_rows(), d.scan("galaxy").unwrap(), "the batch is the scan");
+        assert_eq!(keys.binary_search(&-17).map(|r| first.value(0, r)), Ok(Value::BigInt(-17)));
+
+        // A zone map over the same table shares the cached batch.
+        let map = d.zone_map("galaxy", 0, 1).unwrap();
+        assert!(std::ptr::eq(map.batch(), &*first), "one copy of the rows");
+        assert!(Arc::ptr_eq(&map, &d.zone_map("galaxy", 0, 1).unwrap()));
+        assert!(Arc::ptr_eq(&first, &d.table_columns("galaxy").unwrap()));
+
+        // Any mutation moves the version: the next lookup rebuilds both.
+        d.insert("galaxy", g(-1000, 179.0, 0.0, 18.0)).unwrap();
+        let fresh = d.table_columns("galaxy").unwrap();
+        assert!(!Arc::ptr_eq(&first, &fresh), "rebuilt after an insert");
+        assert_eq!(fresh.len(), 501);
+        assert_eq!(fresh.value(0, 0), Value::BigInt(-1000));
+        let remapped = d.zone_map("galaxy", 0, 1).unwrap();
+        assert!(std::ptr::eq(remapped.batch(), &*fresh));
+        assert_eq!(remapped.epoch(), d.table_version("galaxy").unwrap());
+    }
+
+    #[test]
+    fn table_columns_of_an_empty_or_missing_table() {
+        let mut d = db();
+        assert!(d.table_columns("nope").is_err());
+        d.create_clustered_table("galaxy", galaxy_schema(), &["objid"]).unwrap();
+        let empty = d.table_columns("galaxy").unwrap();
+        assert!(empty.is_empty());
+        assert_eq!(empty.num_cols(), 4);
     }
 
     #[test]

@@ -5,22 +5,23 @@
 //! by `(zone, ra, ordinal)` with per-zone slice offsets, so a search for
 //! `zone ∈ [zlo, zhi] ∧ ra ∈ [ra_lo, ra_hi]` walks the zone band and
 //! binary-searches the RA window inside each zone ([`ZoneMap::window`]).
-//! The map owns the [`ColumnBatch`] it was built from, so a map is
-//! self-contained: ordinals index that batch, and callers read whatever
-//! columns they need straight from it.
+//! The map holds the [`ColumnBatch`] it was built from (shared, not
+//! copied), so a map is self-contained: ordinals index that batch, and
+//! callers read whatever columns they need straight from it.
 //!
 //! Two callers share it. The planner's zone join probes the map of its
 //! build side and re-evaluates the full join conjunction on every
 //! candidate, so the map changes cost, never answers. MaxBCG's
 //! `fGetNearbyObjEqZd` probes the `Zone` table's map and reads the object
 //! columns from the indexed rows. Maps built from a full unfiltered table
-//! scan are cached per [`crate::Database`] keyed by `table_version`
-//! epochs (see [`crate::Database::zone_map`]); every build, cached or
-//! not, counts once in `stardb.zonemap.builds`.
+//! scan live in the [`crate::Database`] column cache beside the batch
+//! they share, keyed by `table_version` epochs (see
+//! [`crate::Database::zone_map`]); every build, cached or not, counts once
+//! in `stardb.zonemap.builds`.
 
 use crate::colbatch::ColumnBatch;
 use crate::value::Value;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// The `stardb.zonemap.builds` counter: one tick per [`ZoneMap`] built,
 /// whichever caller asked for it.
@@ -51,7 +52,7 @@ pub struct ZoneMap {
     /// Entry ordinals in the source row set.
     ord: Vec<u32>,
     /// The indexed rows, in ordinal order.
-    batch: ColumnBatch,
+    batch: Arc<ColumnBatch>,
 }
 
 /// Zone value of a row: integer zone columns only. Rows with NULL or
@@ -85,10 +86,16 @@ fn ra_of(v: &Value) -> Option<f64> {
 }
 
 impl ZoneMap {
-    /// Index `batch` on its `zone_col` / `ra_col` columns, taking
-    /// ownership of the rows.
-    pub fn from_batch(batch: ColumnBatch, zone_col: usize, ra_col: usize, epoch: u64) -> ZoneMap {
+    /// Index `batch` on its `zone_col` / `ra_col` columns, keeping the
+    /// rows (an owned batch moves in; a shared one is not copied).
+    pub fn from_batch(
+        batch: impl Into<Arc<ColumnBatch>>,
+        zone_col: usize,
+        ra_col: usize,
+        epoch: u64,
+    ) -> ZoneMap {
         builds().incr();
+        let batch = batch.into();
         let mut entries: Vec<(i64, f64, u32)> = (0..batch.len())
             .filter_map(|i| {
                 let z = zone_of(&batch.value(zone_col, i))?;
